@@ -36,8 +36,8 @@ import (
 	"strings"
 
 	"dyrs/internal/harness"
-	"dyrs/internal/migration"
 	"dyrs/internal/obs"
+	"dyrs/internal/policy"
 	"dyrs/internal/runner"
 	"dyrs/internal/trace"
 )
@@ -75,8 +75,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	repro := fs.String("repro", "", "keep-mask from a shrunk repro, e.g. 'faults=0,2;jobs=1' (requires -seed)")
 	large := fs.Bool("large", false, "draw datacenter-shaped scenarios (64-256 nodes, multi-rack)")
 	serving := fs.Bool("serving", false, "draw multi-tenant serving scenarios (open-loop Zipf/diurnal read stream)")
-	policy := fs.String("policy", "", "migrating policy for the oracle runs: "+
-		strings.Join(migration.BinderNames(), ", ")+" (default dyrs)")
+	pol := fs.String("policy", "", "migrating policy for the oracle runs: "+
+		strings.Join(migratingPolicies(), ", ")+" (default dyrs)")
 	shards := fs.Int("shards", 0, "engine shards for the invariance run (0: rotate 1/2/4 by seed, 1: sequential only)")
 	shrink := fs.Bool("shrink", true, "shrink failing scenarios to a minimal repro")
 	artifacts := fs.String("artifacts", ".", "directory for failure artifacts (flight-recorder dumps); empty disables")
@@ -103,8 +103,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 
-	if *policy != "" {
-		if _, err := migration.BinderByName(*policy); err != nil {
+	if *pol != "" {
+		if err := checkPolicy(*pol); err != nil {
 			return err
 		}
 	}
@@ -114,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *repro != "" && *seed == 0 {
 		return fmt.Errorf("-repro requires -seed")
 	}
-	base := harness.Repro{Large: *large, Serving: *serving, Policy: *policy}
+	base := harness.Repro{Large: *large, Serving: *serving, Policy: *pol}
 	if *seed != 0 {
 		base.Seed = *seed
 		base.Shards = shardsForSeed(*shards, *seed)
@@ -211,12 +211,33 @@ func checkOne(stdout io.Writer, base harness.Repro, mask string, shrink bool, ar
 	return fmt.Errorf("seed %d failed %d oracle check(s)", base.Seed, len(failures))
 }
 
+// migratingPolicies lists the names -policy accepts: every registered
+// internal/policy policy that migrates.
+func migratingPolicies() []string {
+	var names []string
+	for _, n := range policy.Names() {
+		if p, err := policy.New(n); err == nil && p.Migrates() {
+			names = append(names, n)
+		}
+	}
+	return names
+}
+
+// checkPolicy validates a -policy value through policy.New.
+func checkPolicy(name string) error {
+	if p, err := policy.New(name); err == nil && p.Migrates() {
+		return nil
+	}
+	return fmt.Errorf("-policy %q is not a migrating policy (valid: %s)",
+		name, strings.Join(migratingPolicies(), ", "))
+}
+
 // binderName names the migrating policy for reports.
-func binderName(policy string) string {
-	if policy == "" {
+func binderName(name string) string {
+	if name == "" {
 		return "dyrs"
 	}
-	return policy
+	return name
 }
 
 // reportFailure prints a seed's oracle violations, the flight-recorder

@@ -60,10 +60,36 @@ func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-policy", "bogus"}, &out, &errb); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if err := run([]string{"-policy", "hdfs"}, &out, &errb); err == nil {
-		t.Error("non-migrating policy accepted")
-	}
 	if err := run([]string{"-large", "-serving", "-seeds", "1"}, &out, &errb); err == nil {
 		t.Error("-large with -serving accepted")
+	}
+}
+
+// TestPolicyFlagRejectsNonMigrating pins the -policy validation: the
+// retired reference binder name and the non-migrating HDFS policy must
+// both be refused up front with an error listing the valid names —
+// never reach the environment builder, whose misconfiguration path
+// panics.
+func TestPolicyFlagRejectsNonMigrating(t *testing.T) {
+	for _, name := range []string{"dyrs-ref", "hdfs"} {
+		t.Run(name, func(t *testing.T) {
+			var out, errb strings.Builder
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("-policy %s panicked: %v", name, r)
+					}
+				}()
+				err = run([]string{"-policy", name, "-seed", "1"}, &out, &errb)
+			}()
+			if err == nil {
+				t.Fatalf("-policy %s accepted", name)
+			}
+			want := "(valid: costaware, dyrs, ignem)"
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not list the valid names %s", err, want)
+			}
+		})
 	}
 }

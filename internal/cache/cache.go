@@ -19,77 +19,56 @@ import (
 // EvictPolicy selects the cache's eviction order.
 type EvictPolicy int
 
-const (
-	// LRU evicts the least recently used block.
-	LRU EvictPolicy = iota
-	// LIFE approximates PACMan's wave-width-aware policy by evicting
-	// blocks of the *largest* cached file first: large files need many
-	// cached blocks before any wave speeds up, so their partial
-	// footprints are the least valuable.
-	LIFE
-	// LFU evicts blocks of the least frequently accessed file.
-	LFU
-)
+// LRU evicts the least recently used block — the one eviction order.
+const LRU EvictPolicy = 0
 
 // String names the policy.
-func (p EvictPolicy) String() string {
-	switch p {
-	case LIFE:
-		return "LIFE"
-	case LFU:
-		return "LFU"
-	}
-	return "LRU"
-}
+func (p EvictPolicy) String() string { return "LRU" }
 
 // entry tracks one cached block.
 type entry struct {
 	block *dfs.Block
 	node  cluster.NodeID
-	uses  int
 	lru   *list.Element
 }
 
 // Cache is a cluster-wide coordinated cache. It watches every block read
 // via the DFS read hook: hits are reads already redirected to a resident
 // replica; misses insert the block at the reading node after the read,
-// evicting per policy when the per-node budget is exceeded.
+// evicting least recently used blocks when the per-node budget is
+// exceeded.
 type Cache struct {
-	fs       *dfs.FS
-	policy   EvictPolicy
-	perNode  sim.Bytes
-	used     map[cluster.NodeID]sim.Bytes
-	entries  map[dfs.BlockID]*entry
-	lruList  *list.List // front = most recent
-	fileUses map[string]int
+	fs      *dfs.FS
+	perNode sim.Bytes
+	used    map[cluster.NodeID]sim.Bytes
+	entries map[dfs.BlockID]*entry
+	lruList *list.List // front = most recent
 
 	// Stats.
 	Hits, Misses, Insertions, Evictions int
 }
 
 // New attaches a cache to the file system with the given per-node memory
-// budget.
+// budget. LRU is the only eviction policy.
 func New(fs *dfs.FS, perNodeBudget sim.Bytes, policy EvictPolicy) (*Cache, error) {
 	if perNodeBudget <= 0 {
 		return nil, fmt.Errorf("cache: per-node budget must be positive")
 	}
+	if policy != LRU {
+		return nil, fmt.Errorf("cache: unknown eviction policy %d", policy)
+	}
 	c := &Cache{
-		fs:       fs,
-		policy:   policy,
-		perNode:  perNodeBudget,
-		used:     make(map[cluster.NodeID]sim.Bytes),
-		entries:  make(map[dfs.BlockID]*entry),
-		lruList:  list.New(),
-		fileUses: make(map[string]int),
+		fs:      fs,
+		perNode: perNodeBudget,
+		used:    make(map[cluster.NodeID]sim.Bytes),
+		entries: make(map[dfs.BlockID]*entry),
+		lruList: list.New(),
 	}
 	if err := fs.OnRead(c.onRead); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
-
-// Policy reports the eviction policy.
-func (c *Cache) Policy() EvictPolicy { return c.policy }
 
 // Resident reports the number of cached blocks.
 func (c *Cache) Resident() int { return len(c.entries) }
@@ -100,13 +79,11 @@ func (c *Cache) UsedOn(n cluster.NodeID) sim.Bytes { return c.used[n] }
 // onRead observes every block read.
 func (c *Cache) onRead(id dfs.BlockID, at cluster.NodeID) {
 	b := c.fs.Block(id)
-	c.fileUses[b.File]++
 	if e, ok := c.entries[id]; ok {
 		// Validate: another subsystem (e.g. DYRS implicit eviction) may
 		// have dropped the underlying replica.
 		if c.fs.DataNode(e.node).HasMem(id) {
 			c.Hits++
-			e.uses++
 			c.lruList.MoveToFront(e.lru)
 			return
 		}
@@ -141,7 +118,7 @@ func (c *Cache) insert(b *dfs.Block, at cluster.NodeID) {
 		return
 	}
 	c.fs.RegisterMem(b.ID, node)
-	e := &entry{block: b, node: node, uses: 1}
+	e := &entry{block: b, node: node}
 	e.lru = c.lruList.PushFront(e)
 	c.entries[b.ID] = e
 	c.used[node] += b.Size
@@ -164,59 +141,16 @@ func (c *Cache) placement(id dfs.BlockID, at cluster.NodeID) (cluster.NodeID, bo
 	return live[0], true
 }
 
-// evictOne removes one block from the given node per policy. Reports
-// whether anything was evicted.
+// evictOne removes the least recently used block on the given node.
+// Reports whether anything was evicted.
 func (c *Cache) evictOne(node cluster.NodeID) bool {
-	var victim *entry
-	switch c.policy {
-	case LRU:
-		for el := c.lruList.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*entry)
-			if e.node == node {
-				victim = e
-				break
-			}
-		}
-	case LIFE:
-		// Largest cached file on this node loses first.
-		fileBytes := map[string]sim.Bytes{}
-		for _, e := range c.entries {
-			fileBytes[e.block.File] += e.block.Size
-		}
-		var worstFile string
-		var worst sim.Bytes = -1
-		for _, e := range c.entries {
-			if e.node != node {
-				continue
-			}
-			if fb := fileBytes[e.block.File]; fb > worst {
-				worst = fb
-				worstFile = e.block.File
-			}
-		}
-		for _, e := range c.entries {
-			if e.node == node && e.block.File == worstFile {
-				victim = e
-				break
-			}
-		}
-	case LFU:
-		best := int(^uint(0) >> 1)
-		for _, e := range c.entries {
-			if e.node != node {
-				continue
-			}
-			if u := c.fileUses[e.block.File]; u < best {
-				best = u
-				victim = e
-			}
+	for el := c.lruList.Back(); el != nil; el = el.Prev() {
+		if e := el.Value.(*entry); e.node == node {
+			c.remove(e, true)
+			return true
 		}
 	}
-	if victim == nil {
-		return false
-	}
-	c.remove(victim, true)
-	return true
+	return false
 }
 
 // remove deletes an entry, optionally dropping the replica from the DFS
@@ -231,11 +165,13 @@ func (c *Cache) remove(e *entry, dropReplica bool) {
 	c.used[e.node] -= e.block.Size
 }
 
-// Flush drops every cached block.
+// Flush drops every cached block, least recently used first, so the
+// evict instants DropMem records come in a deterministic order.
 func (c *Cache) Flush() {
-	for _, e := range c.entries {
+	for el := c.lruList.Back(); el != nil; el = c.lruList.Back() {
+		e := el.Value.(*entry)
 		c.fs.DropMem(e.block.ID, e.node)
-		c.lruList.Remove(e.lru)
+		c.lruList.Remove(el)
 		c.used[e.node] -= e.block.Size
 	}
 	c.entries = make(map[dfs.BlockID]*entry)

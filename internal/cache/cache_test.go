@@ -1,12 +1,14 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"dyrs/internal/cluster"
 	"dyrs/internal/dfs"
 	"dyrs/internal/sim"
+	"dyrs/internal/trace"
 )
 
 func newFS(t *testing.T, seed int64) (*sim.Engine, *dfs.FS) {
@@ -95,51 +97,6 @@ func TestBudgetEviction(t *testing.T) {
 	if aReads[0].Source.FromMemory() {
 		t.Error("evicted block served from memory")
 	}
-}
-
-func TestLIFEEvictsLargestFile(t *testing.T) {
-	eng, fs := newFS(t, 3)
-	c, err := New(fs, 3*256*sim.MB, LIFE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.CreateFile("big", 512*sim.MB)  // 2 blocks
-	fs.CreateFile("tiny", 64*sim.MB)  // 1 block
-	fs.CreateFile("tiny2", 64*sim.MB) // 1 block
-	readAll(t, eng, fs, "big")
-	readAll(t, eng, fs, "tiny")
-	readAll(t, eng, fs, "tiny2")
-	// Force an eviction: insert one more 256MB block.
-	fs.CreateFile("extra", 256*sim.MB)
-	readAll(t, eng, fs, "extra")
-	// LIFE should have evicted from "big" (the largest cached file),
-	// keeping the small files intact.
-	if r := readAll(t, eng, fs, "tiny"); !r[0].Source.FromMemory() {
-		t.Error("LIFE evicted a small file's block")
-	}
-	if c.Evictions == 0 {
-		t.Error("no eviction happened")
-	}
-}
-
-func TestLFUEvictsColdFile(t *testing.T) {
-	eng, fs := newFS(t, 4)
-	c, err := New(fs, 2*256*sim.MB, LFU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.CreateFile("popular", 256*sim.MB)
-	fs.CreateFile("once", 256*sim.MB)
-	readAll(t, eng, fs, "popular")
-	readAll(t, eng, fs, "popular")
-	readAll(t, eng, fs, "popular")
-	readAll(t, eng, fs, "once")
-	fs.CreateFile("new", 256*sim.MB)
-	readAll(t, eng, fs, "new") // must evict "once", not "popular"
-	if r := readAll(t, eng, fs, "popular"); !r[0].Source.FromMemory() {
-		t.Error("LFU evicted the popular file")
-	}
-	_ = c
 }
 
 func TestOversizeBlockNotCached(t *testing.T) {
@@ -246,10 +203,50 @@ func TestInvalidBudget(t *testing.T) {
 	if _, err := New(fs, 0, LRU); err == nil {
 		t.Error("zero budget accepted")
 	}
+	if _, err := New(fs, 100*sim.MB, EvictPolicy(1)); err == nil {
+		t.Error("unknown eviction policy accepted")
+	}
 }
 
 func TestPolicyString(t *testing.T) {
-	if LRU.String() != "LRU" || LIFE.String() != "LIFE" || LFU.String() != "LFU" {
+	if LRU.String() != "LRU" {
 		t.Error("policy names wrong")
+	}
+}
+
+// TestFlushDeterministic pins Flush's drop order: every DropMem records a
+// migration/evict trace instant, so flushing identical cache states must
+// record identical instant sequences (least recently used first), never
+// an order drawn from map iteration.
+func TestFlushDeterministic(t *testing.T) {
+	const blocks = 24
+	flush := func() []trace.Instant {
+		eng := sim.NewEngine(9)
+		tr := trace.New(eng)
+		fs := dfs.New(cluster.New(eng, 3, nil), dfs.DefaultConfig())
+		c, err := New(fs, 8*sim.GB, LRU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.CreateFile("f", blocks*256*sim.MB)
+		readAll(t, eng, fs, "f")
+		if c.Resident() != blocks {
+			t.Fatalf("%d resident blocks before flush, want %d", c.Resident(), blocks)
+		}
+		before := len(tr.Instants())
+		c.Flush()
+		if c.Resident() != 0 || c.UsedOn(0) != 0 {
+			t.Fatalf("flush left %d resident blocks, %d bytes on node 0", c.Resident(), c.UsedOn(0))
+		}
+		return append([]trace.Instant(nil), tr.Instants()[before:]...)
+	}
+	want := flush()
+	if len(want) != blocks {
+		t.Fatalf("flush recorded %d instants, want %d", len(want), blocks)
+	}
+	for i := 0; i < 8; i++ {
+		if got := flush(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("flush %d recorded a different instant sequence:\n got %v\nwant %v", i+1, got, want)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"dyrs/internal/cluster"
 	"dyrs/internal/dfs"
 	"dyrs/internal/migration"
+	"dyrs/internal/policy"
 	"dyrs/internal/sim"
 	"dyrs/internal/trace"
 	"dyrs/internal/workload"
@@ -122,7 +123,7 @@ type ServingOptions struct {
 	// Load tunes the driver; zero value means DefaultServingLoadOptions.
 	Load ServingLoadOptions
 	// Policies lists the configurations to score: "hdfs" (baseline, no
-	// migration) or any migrating binder name from migration.BinderNames.
+	// migration) or any migrating internal/policy name.
 	// Empty means hdfs + every migrating policy.
 	Policies []string
 }
@@ -177,11 +178,10 @@ func servingPolicies(opt ServingOptions) []string {
 		return opt.Policies
 	}
 	names := []string{"hdfs"}
-	for _, n := range migration.BinderNames() {
-		if n == "dyrs-ref" {
-			continue // the frozen reference binder is a test fixture
+	for _, n := range policy.Names() {
+		if p, err := policy.New(n); err == nil && p.Migrates() {
+			names = append(names, n)
 		}
-		names = append(names, n)
 	}
 	return names
 }

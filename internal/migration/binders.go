@@ -2,7 +2,6 @@ package migration
 
 import (
 	"fmt"
-	"sort"
 
 	"dyrs/internal/cluster"
 	"dyrs/internal/policy"
@@ -22,9 +21,10 @@ import (
 // no update ticker runs.
 //
 // With policy.DYRS this binder is byte-identical to the frozen
-// pre-extraction ReferenceDYRSBinder — the differential conformance
-// suite in internal/harness pins traces, stats and counters across 60
-// fuzz seeds at shard counts 1/2/4.
+// pre-extraction binder kept in refbinder_test.go
+// (TestPolicyBinderMatchesReference), and the golden conformance digest
+// in internal/harness pins traces, stats and counters across 72 fuzz
+// scenarios at shard counts 1/2/4.
 type PolicyBinder struct {
 	c   *Coordinator
 	pol policy.Policy
@@ -91,35 +91,6 @@ func NewPolicyBinder(p policy.Policy) *PolicyBinder {
 		panic(fmt.Sprintf("migration: policy %s does not migrate; run without a coordinator instead", p.Name()))
 	}
 	return &PolicyBinder{pol: p}
-}
-
-// BinderByName maps a policy name to a binder: any migrating
-// internal/policy name ("dyrs", "ignem", "costaware"), or "dyrs-ref"
-// for the frozen pre-extraction reference implementation.
-func BinderByName(name string) (Binder, error) {
-	if name == "dyrs-ref" {
-		return NewReferenceDYRSBinder(), nil
-	}
-	p, err := policy.New(name)
-	if err != nil {
-		return nil, err
-	}
-	if !p.Migrates() {
-		return nil, fmt.Errorf("migration: policy %q does not migrate; use the HDFS experiment policy instead", name)
-	}
-	return NewPolicyBinder(p), nil
-}
-
-// BinderNames lists every name BinderByName accepts, sorted.
-func BinderNames() []string {
-	names := []string{"dyrs-ref"}
-	for _, n := range policy.Names() {
-		if p, err := policy.New(n); err == nil && p.Migrates() {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Name implements Binder.
@@ -330,50 +301,6 @@ func (b *PolicyBinder) stopBinder() {
 		b.ticker.Stop()
 	}
 }
-
-// IgnemBinder implements the Ignem comparison scheme [8]: as soon as a
-// migration command arrives, each block is bound to a uniformly random
-// replica location. There is no pending list, no feedback, and no
-// adaptation — which is exactly why Ignem collapses under bandwidth
-// heterogeneity (§V-E, Fig. 8).
-type IgnemBinder struct {
-	c *Coordinator
-}
-
-// NewIgnemBinder returns the Ignem binding policy.
-func NewIgnemBinder() *IgnemBinder { return &IgnemBinder{} }
-
-// Name implements Binder.
-func (b *IgnemBinder) Name() string { return "Ignem" }
-
-func (b *IgnemBinder) attach(c *Coordinator) { b.c = c }
-
-// OnMigrate binds every block immediately to a random live replica.
-func (b *IgnemBinder) OnMigrate(blocks []*blockInfo) {
-	for _, bi := range blocks {
-		locs := b.c.fs.Replicas(bi.id)
-		if len(locs) == 0 {
-			b.c.transition(bi, stateNone)
-			b.c.stats.Dropped++
-			b.c.dropTrace(bi, "no-replica")
-			continue
-		}
-		loc := locs[b.c.eng.Rand().Intn(len(locs))]
-		b.c.slaves[int(loc)].enqueue(bi)
-	}
-}
-
-// OnPull returns nothing: Ignem never delays binding.
-func (b *IgnemBinder) OnPull(cluster.NodeID, int) []*blockInfo { return nil }
-
-// Remove is a no-op; Ignem has no pending list.
-func (b *IgnemBinder) Remove(*blockInfo) {}
-
-// PendingCount implements Binder.
-func (b *IgnemBinder) PendingCount() int { return 0 }
-
-// Reset implements Binder.
-func (b *IgnemBinder) Reset() {}
 
 // NaiveBinder is the Fig. 10 comparator: delayed binding like DYRS, but
 // when a slave pulls, it simply receives the oldest pending blocks that

@@ -6,6 +6,7 @@ import (
 
 	"dyrs/internal/cluster"
 	"dyrs/internal/dfs"
+	"dyrs/internal/policy"
 	"dyrs/internal/sim"
 )
 
@@ -108,7 +109,7 @@ func TestIgnemBindsImmediatelyAndEvenly(t *testing.T) {
 		}
 		return c
 	}
-	r := newRig(t, 3, 4, NewIgnemBinder(), slowCfg, DefaultConfig())
+	r := newRig(t, 3, 4, NewPolicyBinder(policy.NewIgnem()), slowCfg, DefaultConfig())
 	r.mkFile(t, "in", 40)
 	r.c.Migrate(1, []string{"in"}, false)
 	if r.c.PendingBlocks() != 0 {
@@ -579,7 +580,7 @@ func TestDoubleMigrateSameFileIsIdempotent(t *testing.T) {
 }
 
 func TestBinderNames(t *testing.T) {
-	if NewDYRSBinder().Name() != "DYRS" || NewIgnemBinder().Name() != "Ignem" || NewNaiveBinder().Name() != "Naive" {
+	if NewDYRSBinder().Name() != "DYRS" || NewPolicyBinder(policy.NewIgnem()).Name() != "Ignem" || NewNaiveBinder().Name() != "Naive" {
 		t.Error("binder names wrong")
 	}
 }

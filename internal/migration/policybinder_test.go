@@ -1,37 +1,18 @@
 package migration
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 	"time"
 
 	"dyrs/internal/cluster"
+	"dyrs/internal/dfs"
 	"dyrs/internal/policy"
 	"dyrs/internal/sim"
+	"dyrs/internal/trace"
 )
-
-func TestBinderByName(t *testing.T) {
-	for _, name := range []string{"dyrs", "ignem", "costaware", "dyrs-ref"} {
-		b, err := BinderByName(name)
-		if err != nil {
-			t.Errorf("BinderByName(%q): %v", name, err)
-			continue
-		}
-		if b == nil {
-			t.Errorf("BinderByName(%q) returned nil binder", name)
-		}
-	}
-	if _, err := BinderByName("hdfs"); err == nil {
-		t.Error("BinderByName(\"hdfs\") should refuse a non-migrating policy")
-	}
-	if _, err := BinderByName("bogus"); err == nil {
-		t.Error("BinderByName(\"bogus\") should fail")
-	}
-	want := []string{"costaware", "dyrs", "dyrs-ref", "ignem"}
-	if got := BinderNames(); !reflect.DeepEqual(got, want) {
-		t.Errorf("BinderNames() = %v, want %v", got, want)
-	}
-}
 
 func TestNewPolicyBinderRejectsNonMigrating(t *testing.T) {
 	defer func() {
@@ -86,39 +67,118 @@ func TestPolicyBinderCostAwareMigrates(t *testing.T) {
 	r.c.Shutdown()
 }
 
-// TestPolicyBinderMatchesReference is the unit-level half of the
-// conformance proof: the same rig, workload and fault-free schedule run
-// under the extracted DYRS policy and under the frozen reference binder
-// must produce identical stats and identical per-slave migration
-// counts. (The harness-level suite additionally pins trace hashes
-// across fuzz scenarios with faults.)
+// TestPolicyBinderMatchesReference is the live half of the DYRS
+// conformance proof (the harness pins whole runs to a golden digest):
+// each rig runs once under the extracted DYRS policy and once under the
+// frozen reference binder (refbinder_test.go), and the two must produce
+// identical stats, per-slave migration counts and canonical trace
+// digests. The rigs cover the binder's whole surface: the fault-free
+// delayed-binding loop, a slave restart (queued and active work lost), a
+// master restart (Reset, then fresh requests), a dead node (stale
+// liveness, rerouted pending blocks) and a non-FIFO OrderPolicy (the
+// pending list reordered before every Algorithm 1 pass).
 func TestPolicyBinderMatchesReference(t *testing.T) {
-	run := func(binder Binder) (Stats, []int) {
-		r := newRig(t, 7, 6, binder, nil, DefaultConfig())
-		r.mkFile(t, "a", 12)
-		r.mkFile(t, "b", 9)
+	// Node 1 runs at a third of nominal disk speed so the estimates, and
+	// with them Algorithm 1's targets, are not uniform.
+	slowOne := func(i int) cluster.NodeConfig {
+		c := cluster.DefaultNodeConfig()
+		if i == 1 {
+			c.DiskScale = 0.3
+		}
+		return c
+	}
+	edf := DefaultConfig()
+	edf.Order = OrderEDF
+	rigs := []struct {
+		name string
+		cfg  Config
+		// fault, when non-nil, runs at faultAt, before the second
+		// request (at 5s).
+		fault   func(r *testRig)
+		faultAt time.Duration
+		// hints, when set, makes the second (smaller) job the more urgent
+		// one and submits both requests together, so the order policy
+		// has something to reorder.
+		hints bool
+	}{
+		{name: "fault-free", cfg: DefaultConfig()},
+		{name: "slave-restart", cfg: DefaultConfig(), faultAt: 3 * time.Second,
+			fault: func(r *testRig) { r.c.RestartSlaveProcess(2) }},
+		// Before the first heartbeat pull, so pending blocks are lost.
+		{name: "master-restart", cfg: DefaultConfig(), faultAt: 500 * time.Millisecond,
+			fault: func(r *testRig) { r.c.RestartMaster() }},
+		{name: "dead-node", cfg: DefaultConfig(), faultAt: 3 * time.Second, fault: func(r *testRig) {
+			r.cl.KillNode(3)
+			r.c.RestartSlaveProcess(3)
+		}},
+		{name: "order-edf", cfg: edf, hints: true},
+	}
+	type outcome struct {
+		stats     Stats
+		per       []int
+		traceHash string
+	}
+	run := func(t *testing.T, binder Binder, cfg Config, fault func(*testRig), faultAt time.Duration, hints bool) outcome {
+		const nodes = 6
+		eng := sim.NewEngine(7)
+		tr := trace.New(eng)
+		cl := cluster.New(eng, nodes, slowOne)
+		fs := dfs.New(cl, dfs.DefaultConfig())
+		r := &testRig{eng: eng, cl: cl, fs: fs, c: NewCoordinator(fs, cfg, binder)}
+		// More blocks than the slaves' queues hold, so some stay pending
+		// at the master between heartbeats.
+		r.mkFile(t, "a", 40)
+		r.mkFile(t, "b", 24)
+		if hints {
+			r.c.SetJobHint(1, JobHint{ExpectedStart: sim.Time(40 * time.Second), InputBytes: 40 * fs.Config().BlockSize})
+			r.c.SetJobHint(2, JobHint{ExpectedStart: sim.Time(10 * time.Second), InputBytes: 24 * fs.Config().BlockSize})
+		}
 		if err := r.c.Migrate(1, []string{"a"}, false); err != nil {
 			t.Fatal(err)
 		}
-		r.eng.RunUntil(sim.Time(5 * time.Second))
-		if err := r.c.Migrate(2, []string{"b"}, false); err != nil {
-			t.Fatal(err)
+		second := func() {
+			if err := r.c.Migrate(2, []string{"b"}, false); err != nil {
+				t.Fatal(err)
+			}
 		}
-		r.eng.RunUntil(sim.Time(180 * time.Second))
-		per := make([]int, 6)
+		if hints {
+			second()
+		}
+		if fault != nil {
+			eng.At(sim.Time(faultAt), func() { fault(r) })
+		}
+		if !hints {
+			eng.At(sim.Time(5*time.Second), second)
+		}
+		eng.RunUntil(sim.Time(10 * time.Minute))
+		per := make([]int, nodes)
 		for i := range per {
 			per[i] = r.c.Slave(cluster.NodeID(i)).Migrations
 		}
 		st := r.c.Stats()
 		r.c.Shutdown()
-		return st, per
+		h := sha256.New()
+		if err := tr.WriteJSON(h); err != nil {
+			t.Fatal(err)
+		}
+		return outcome{st, per, hex.EncodeToString(h.Sum(nil))}
 	}
-	st1, per1 := run(NewDYRSBinder())
-	st2, per2 := run(NewReferenceDYRSBinder())
-	if st1 != st2 {
-		t.Errorf("stats diverge: extracted %+v, reference %+v", st1, st2)
-	}
-	if !reflect.DeepEqual(per1, per2) {
-		t.Errorf("per-slave migrations diverge: extracted %v, reference %v", per1, per2)
+	for _, rig := range rigs {
+		t.Run(rig.name, func(t *testing.T) {
+			ext := run(t, NewDYRSBinder(), rig.cfg, rig.fault, rig.faultAt, rig.hints)
+			ref := run(t, NewReferenceDYRSBinder(), rig.cfg, rig.fault, rig.faultAt, rig.hints)
+			if ext.stats.Migrated == 0 {
+				t.Fatal("rig migrated nothing; the comparison exercised no binding")
+			}
+			if ext.stats != ref.stats {
+				t.Errorf("stats diverge: extracted %+v, reference %+v", ext.stats, ref.stats)
+			}
+			if !reflect.DeepEqual(ext.per, ref.per) {
+				t.Errorf("per-slave migrations diverge: extracted %v, reference %v", ext.per, ref.per)
+			}
+			if ext.traceHash != ref.traceHash {
+				t.Errorf("trace digest diverges: extracted %.12s…, reference %.12s…", ext.traceHash, ref.traceHash)
+			}
+		})
 	}
 }

@@ -7,16 +7,18 @@ import (
 )
 
 // ReferenceDYRSBinder is the pre-extraction DYRS binder, frozen
-// verbatim when Algorithm 1 moved into internal/policy. It is the
-// differential anchor for the policy-conformance suite: the harness
-// runs every fuzz scenario once with the extracted policy.DYRS (via
-// PolicyBinder) and once with this binder, and demands byte-identical
-// traces, stats and counters — the same preserved-reference pattern
-// the sharded engine and the compact block tables were proven with.
+// verbatim when Algorithm 1 moved into internal/policy. It is the live
+// differential anchor for policy.DYRS: TestPolicyBinderMatchesReference
+// runs a table of rigs (fault-free, slave and master restarts, a dead
+// node, a non-FIFO OrderPolicy) once with the extracted policy (via
+// PolicyBinder) and once with this binder, and demands identical stats,
+// per-slave migration counts and trace digests — the same
+// preserved-reference pattern the sharded engine and the compact block
+// tables were proven with.
 //
 // Do not modify this type except to track Binder interface changes;
-// behavioral fixes belong in policy.DYRS, where the conformance suite
-// will catch any drift from this reference.
+// behavioral fixes belong in policy.DYRS, where that test will catch any
+// drift from this reference.
 type ReferenceDYRSBinder struct {
 	c *Coordinator
 	// pending is the master's unbound-block list, in FIFO arrival order

@@ -5,13 +5,14 @@ package sim
 // Two references, two claims:
 //
 //  1. TestDifferentialResourceVsReference — byte-identical. The optimized
-//     resource (finish-tag heap, O(1) accrual, coalesced flush) against
-//     reference mode (Engine.SetReferenceResources: admission-ordered
-//     slice, linear scans) on the same seeded op scripts. The two modes
-//     share every float expression — only the bookkeeping structure
-//     differs — so completions, timestamps, BytesMoved and BusyTime must
-//     match exactly, including under mid-run accounting probes that
-//     stress the lazy O(1) accrual.
+//     resource (finish-tag heap, O(1) accrual, coalesced flush) runs the
+//     seeded op scripts with the lockstep sink installed (lockstep_test.go:
+//     an admission-ordered slice with linear flowLess scans, the former
+//     reference mode's container). The heap and the linear reference
+//     share every float expression, so agreeing on the active set and the
+//     earliest finisher at every callback, op and mid-run accounting
+//     probe makes completions, timestamps, BytesMoved and BusyTime
+//     identical by construction.
 //
 //  2. TestDifferentialResourceVsLegacy — semantically equivalent. The
 //     preserved pre-rewrite implementation (legacyResource below: one
@@ -351,50 +352,33 @@ const (
 
 // TestDifferentialResourceVsReference is the byte-identity proof: the
 // finish-tag heap, flow pooling, O(1) lazy accrual and same-instant
-// flush coalescing must not change a single bit of observable behaviour
-// relative to reference mode's linear bookkeeping, because the two share
-// every arithmetic expression.
+// flush coalescing must keep the heap in lockstep with the linear
+// reference container at every flow callback, every op and every
+// mid-run accounting probe — the only places the two could diverge,
+// because they share every arithmetic expression.
 func TestDifferentialResourceVsReference(t *testing.T) {
-	totalCompletions := 0
+	totalCompletions, totalChecks := 0, 0
 	for seed := int64(0); seed < diffSeeds; seed++ {
 		ops := genScript(rand.New(rand.NewSource(seed)), diffOps, diffHorizon)
 
-		run := func(ref bool) scriptResult {
-			eng := NewEngine(seed)
-			eng.SetReferenceResources(ref)
-			ut := resourceUT{NewResource(eng, "r", 128*float64(MB), SeekEfficiency(0.25))}
-			scheduleProbes(eng, ut, diffHorizon)
-			return runScript(eng, ut, ops)
-		}
-		opt, ref := run(false), run(true)
+		eng := NewEngine(seed)
+		sink := newLockstepSink(t, eng)
+		r := NewResource(eng, "r", 128*float64(MB), SeekEfficiency(0.25))
+		ut := lockstepUT{resourceUT{r}, sink}
+		scheduleProbes(eng, ut, diffHorizon)
+		res := runScript(eng, ut, ops)
+		sink.checkAll()
 
-		if len(opt.completions) != len(ref.completions) {
-			t.Fatalf("seed %d: %d completions vs reference %d", seed, len(opt.completions), len(ref.completions))
+		if res.stillActive != sink.active(r) {
+			t.Fatalf("seed %d: %d active flows at drain vs reference %d", seed, res.stillActive, sink.active(r))
 		}
-		for i := range opt.completions {
-			o, n := opt.completions[i], ref.completions[i]
-			if o.id != n.id {
-				t.Fatalf("seed %d: completion %d order diverged: flow %d vs reference flow %d", seed, i, o.id, n.id)
-			}
-			if o.at != n.at {
-				t.Fatalf("seed %d: flow %d completed at %v vs reference %v (Δ %v)", seed, o.id, o.at, n.at, o.at.Sub(n.at))
-			}
-		}
-		if opt.bytesMoved != ref.bytesMoved {
-			t.Fatalf("seed %d: BytesMoved %d vs reference %d", seed, opt.bytesMoved, ref.bytesMoved)
-		}
-		if opt.busy != ref.busy {
-			t.Fatalf("seed %d: BusyTime %v vs reference %v", seed, opt.busy, ref.busy)
-		}
-		if opt.stillActive != ref.stillActive {
-			t.Fatalf("seed %d: %d active flows at drain vs reference %d", seed, opt.stillActive, ref.stillActive)
-		}
-		totalCompletions += len(opt.completions)
+		totalCompletions += len(res.completions)
+		totalChecks += sink.checks
 	}
 	if totalCompletions == 0 {
 		t.Fatal("scripts produced no completions; test exercised nothing")
 	}
-	t.Logf("compared %d completions across %d seeds", totalCompletions, diffSeeds)
+	t.Logf("checked %d lockstep points and %d completions across %d seeds", totalChecks, totalCompletions, diffSeeds)
 }
 
 // Drift bounds for the legacy comparison. The old per-flow accrual and
@@ -405,9 +389,9 @@ func TestDifferentialResourceVsReference(t *testing.T) {
 // bytes. The bounds below leave an order of magnitude of headroom while
 // still catching any real semantic change.
 const (
-	legacyTimeTol  = Duration(250)     // per-completion timestamp drift
-	legacyBusyTol  = Duration(2000)    // cumulative busy-time drift
-	legacyBytesTol = Bytes(64 * 1024)  // cumulative BytesMoved drift
+	legacyTimeTol  = Duration(250)    // per-completion timestamp drift
+	legacyBusyTol  = Duration(2000)   // cumulative busy-time drift
+	legacyBytesTol = Bytes(64 * 1024) // cumulative BytesMoved drift
 )
 
 // TestDifferentialResourceVsLegacy pins the rewrite to the preserved
