@@ -33,11 +33,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
+	"dyrs/internal/experiments"
 	"dyrs/internal/harness"
 	"dyrs/internal/obs"
-	"dyrs/internal/policy"
 	"dyrs/internal/runner"
 	"dyrs/internal/trace"
 )
@@ -76,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	large := fs.Bool("large", false, "draw datacenter-shaped scenarios (64-256 nodes, multi-rack)")
 	serving := fs.Bool("serving", false, "draw multi-tenant serving scenarios (open-loop Zipf/diurnal read stream)")
 	pol := fs.String("policy", "", "migrating policy for the oracle runs: "+
-		strings.Join(migratingPolicies(), ", ")+" (default dyrs)")
+		strings.Join(migratingNames(), ", ")+" (default dyrs)")
 	shards := fs.Int("shards", 0, "engine shards for the invariance run (0: rotate 1/2/4 by seed, 1: sequential only)")
 	shrink := fs.Bool("shrink", true, "shrink failing scenarios to a minimal repro")
 	artifacts := fs.String("artifacts", ".", "directory for failure artifacts (flight-recorder dumps); empty disables")
@@ -104,8 +105,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *pol != "" {
-		if err := checkPolicy(*pol); err != nil {
-			return err
+		if p, err := experiments.ParsePolicy(*pol); err != nil || !p.Migrates() {
+			return fmt.Errorf("-policy %q is not a migrating policy (valid: %s)",
+				*pol, strings.Join(migratingNames(), ", "))
 		}
 	}
 	if *large && *serving {
@@ -192,7 +194,7 @@ func checkOne(stdout io.Writer, base harness.Repro, mask string, shrink bool, ar
 	for i, f := range sc.Faults {
 		fmt.Fprintf(stdout, "  fault[%d] %-14s node=%d at=%v\n", i, f.Kind, f.Node, f.At)
 	}
-	r := harness.RunScenario(sc, "DYRS")
+	r := harness.RunScenario(sc, sc.TestedPolicy())
 	if sc.Serving {
 		fmt.Fprintf(stdout, "%s run: served=%d/%d stats=%+v trace=%.12s…\n",
 			binderName(sc.Policy), r.RequestsServed, r.RequestsIssued, r.Stats, r.TraceHash)
@@ -211,25 +213,17 @@ func checkOne(stdout io.Writer, base harness.Repro, mask string, shrink bool, ar
 	return fmt.Errorf("seed %d failed %d oracle check(s)", base.Seed, len(failures))
 }
 
-// migratingPolicies lists the names -policy accepts: every registered
-// internal/policy policy that migrates.
-func migratingPolicies() []string {
+// migratingNames lists the configurations -policy accepts, lower-cased
+// and sorted: every experiments.Policies row that migrates.
+func migratingNames() []string {
 	var names []string
-	for _, n := range policy.Names() {
-		if p, err := policy.New(n); err == nil && p.Migrates() {
-			names = append(names, n)
+	for _, p := range experiments.Policies() {
+		if p.Migrates() {
+			names = append(names, strings.ToLower(string(p)))
 		}
 	}
+	sort.Strings(names)
 	return names
-}
-
-// checkPolicy validates a -policy value through policy.New.
-func checkPolicy(name string) error {
-	if p, err := policy.New(name); err == nil && p.Migrates() {
-		return nil
-	}
-	return fmt.Errorf("-policy %q is not a migrating policy (valid: %s)",
-		name, strings.Join(migratingPolicies(), ", "))
 }
 
 // binderName names the migrating policy for reports.
@@ -251,7 +245,8 @@ func reportFailure(stdout io.Writer, rep harness.Repro, failures []harness.Failu
 	if artifacts != "" {
 		// Re-run once to capture the failing run's flight ring; scenarios
 		// are deterministic, so this reproduces the reported run exactly.
-		r := harness.RunScenario(rep.Scenario(), "DYRS")
+		sc := rep.Scenario()
+		r := harness.RunScenario(sc, sc.TestedPolicy())
 		dumpFlight(stdout, rep.Seed, r.Flight, artifacts)
 	}
 	if !shrink {

@@ -66,12 +66,11 @@ func TestFlagValidation(t *testing.T) {
 }
 
 // TestPolicyFlagRejectsNonMigrating pins the -policy validation: the
-// retired reference binder name and the non-migrating HDFS policy must
-// both be refused up front with an error listing the valid names —
-// never reach the environment builder, whose misconfiguration path
-// panics.
+// retired reference binder name and the non-migrating configurations
+// must be refused up front with an error listing the migrating ones,
+// never panic.
 func TestPolicyFlagRejectsNonMigrating(t *testing.T) {
-	for _, name := range []string{"dyrs-ref", "hdfs"} {
+	for _, name := range []string{"dyrs-ref", "hdfs", "HDFS-Inputs-in-RAM"} {
 		t.Run(name, func(t *testing.T) {
 			var out, errb strings.Builder
 			var err error
@@ -86,7 +85,7 @@ func TestPolicyFlagRejectsNonMigrating(t *testing.T) {
 			if err == nil {
 				t.Fatalf("-policy %s accepted", name)
 			}
-			want := "(valid: costaware, dyrs, ignem)"
+			want := "(valid: costaware, dyrs, ignem, naive)"
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("error %q does not list the valid names %s", err, want)
 			}

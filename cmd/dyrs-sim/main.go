@@ -44,7 +44,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("dyrs-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	policyFlag := fs.String("policy", "DYRS", "HDFS | HDFS-Inputs-in-RAM | Ignem | DYRS | Naive")
+	policyFlag := fs.String("policy", "DYRS", "HDFS | HDFS-Inputs-in-RAM | Ignem | DYRS | Naive | CostAware (any case)")
 	wl := fs.String("workload", "sort", "sort | hive | swim")
 	sizeGB := fs.Float64("size", 10, "sort input size in GB")
 	query := fs.String("query", "q52", "hive query name (see dyrs.TPCDSQueries)")
@@ -73,11 +73,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		manifest.CaptureFlags(fs)
 	}
 
-	policy := dyrs.Policy(*policyFlag)
-	switch policy {
-	case dyrs.PolicyHDFS, dyrs.PolicyRAM, dyrs.PolicyIgnem, dyrs.PolicyDYRS, dyrs.PolicyNaive:
-	default:
-		return fmt.Errorf("unknown policy %q", *policyFlag)
+	policy, err := dyrs.ParsePolicy(*policyFlag)
+	if err != nil {
+		return err
 	}
 	switch *traceFormat {
 	case "json", "perfetto":

@@ -69,6 +69,9 @@ const (
 	PolicyNaive = experiments.Naive // DYRS minus straggler avoidance
 )
 
+// ParsePolicy resolves a configuration name case-insensitively.
+func ParsePolicy(name string) (Policy, error) { return experiments.ParsePolicy(name) }
+
 // AllPolicies lists the four headline configurations in table order.
 var AllPolicies = experiments.AllPolicies
 

@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"dyrs/internal/cluster"
@@ -17,24 +18,85 @@ import (
 	"dyrs/internal/trace"
 )
 
-// Policy selects one of the four file-system configurations compared in
-// §V-A, plus the naive balancer used in Fig. 10.
+// Policy names one evaluated configuration: the four file systems
+// compared in §V-A, the naive balancer of Fig. 10, and the CostAware
+// heuristic of the policy lab. Every name resolves through policyTable.
 type Policy string
 
 // The evaluated configurations.
 const (
-	HDFS  Policy = "HDFS"               // default file system, no migration
-	RAM   Policy = "HDFS-Inputs-in-RAM" // inputs pinned in memory (upper bound)
-	Ignem Policy = "Ignem"              // random immediate binding
-	DYRS  Policy = "DYRS"               // the paper's scheme
-	Naive Policy = "Naive"              // DYRS minus straggler avoidance
+	HDFS      Policy = "HDFS"               // default file system, no migration
+	RAM       Policy = "HDFS-Inputs-in-RAM" // inputs pinned in memory (upper bound)
+	Ignem     Policy = "Ignem"              // random immediate binding
+	DYRS      Policy = "DYRS"               // the paper's scheme
+	Naive     Policy = "Naive"              // DYRS minus straggler avoidance
+	CostAware Policy = "CostAware"          // marginal-cost heuristic (policy lab)
 )
 
 // AllPolicies lists the four headline configurations in table order.
 var AllPolicies = []Policy{HDFS, RAM, Ignem, DYRS}
 
+// policyRow is one configuration: the target-selection policy its
+// coordinator runs (nil: no migration framework) and the migration
+// config preset it applies on top of the base config (nil: none).
+type policyRow struct {
+	name   Policy
+	policy func() policy.Policy
+	preset func(*migration.Config)
+}
+
+// policyTable is the one place a configuration name gains meaning.
+var policyTable = []policyRow{
+	{name: HDFS},
+	{name: RAM},
+	{name: Ignem, policy: func() policy.Policy { return policy.NewIgnem() },
+		// Ignem binds blindly at submission and never reconsiders — it
+		// has no missed-read handling (§VI), copies at full IO priority,
+		// and mlocks every bound block at once instead of serializing
+		// migrations the way DYRS does (§III-B).
+		preset: func(c *migration.Config) {
+			c.CancelOnMissedRead = false
+			c.IOWeight = 1.0
+			c.MaxConcurrent = 6
+		}},
+	{name: DYRS, policy: func() policy.Policy { return policy.NewDYRS() }},
+	{name: Naive, policy: func() policy.Policy { return policy.NewNaive() }},
+	{name: CostAware, policy: func() policy.Policy { return policy.NewCostAware() }},
+}
+
+// row returns the policy's table row; an unlisted name behaves as a
+// configuration without migration.
+func (p Policy) row() policyRow {
+	for _, r := range policyTable {
+		if r.name == p {
+			return r
+		}
+	}
+	return policyRow{name: p}
+}
+
 // Migrates reports whether the policy runs a migration framework.
-func (p Policy) Migrates() bool { return p == DYRS || p == Ignem || p == Naive }
+func (p Policy) Migrates() bool { return p.row().policy != nil }
+
+// Policies lists every configuration in table order.
+func Policies() []Policy {
+	out := make([]Policy, len(policyTable))
+	for i, r := range policyTable {
+		out[i] = r.name
+	}
+	return out
+}
+
+// ParsePolicy resolves a configuration name, case-insensitively, so
+// flag spellings such as "dyrs" and "HDFS-Inputs-in-RAM" both work.
+func ParsePolicy(name string) (Policy, error) {
+	for _, r := range policyTable {
+		if strings.EqualFold(name, string(r.name)) {
+			return r.name, nil
+		}
+	}
+	return "", fmt.Errorf("unknown policy %q (valid: %v)", name, Policies())
+}
 
 // Options configures an experiment environment.
 type Options struct {
@@ -71,12 +133,6 @@ type Options struct {
 	// differential lever dyrs-sim/dyrs-fuzz -shards pulls to prove the
 	// sharded executor against the sequential one.
 	Shards int
-	// MigBinder, when non-empty and the policy migrates, overrides the
-	// binder backing the coordinator with a migrating internal/policy
-	// name ("dyrs", "ignem", "costaware"). The migration Config stays
-	// whatever the experiment Policy selects, so the override is a pure
-	// binder swap.
-	MigBinder string
 }
 
 // DefaultOptions mirrors the paper's 7-worker testbed.
@@ -144,37 +200,15 @@ func NewEnv(pol Policy, opt Options) *Env {
 
 	var mgr migration.Manager = migration.None{}
 	var coord *migration.Coordinator
-	if pol.Migrates() {
+	if row := pol.row(); row.policy != nil {
 		mcfg := migration.DefaultConfig()
 		if opt.MigrationConfig != nil {
 			mcfg = *opt.MigrationConfig
 		}
-		var binder migration.Binder
-		switch pol {
-		case DYRS:
-			binder = migration.NewDYRSBinder()
-		case Ignem:
-			binder = migration.NewPolicyBinder(policy.NewIgnem())
-			// Ignem binds blindly at submission and never reconsiders —
-			// it has no missed-read handling (§VI), copies at full IO
-			// priority, and mlocks every bound block at once instead of
-			// serializing migrations the way DYRS does (§III-B).
-			mcfg.CancelOnMissedRead = false
-			mcfg.IOWeight = 1.0
-			mcfg.MaxConcurrent = 6
-		case Naive:
-			binder = migration.NewNaiveBinder()
+		if row.preset != nil {
+			row.preset(&mcfg)
 		}
-		if opt.MigBinder != "" {
-			p, err := policy.New(opt.MigBinder)
-			if err != nil {
-				// Misconfiguration, not a runtime condition: callers (the
-				// fuzz driver, tests) validate flag values up front.
-				panic(err)
-			}
-			binder = migration.NewPolicyBinder(p)
-		}
-		coord = migration.NewCoordinator(fs, mcfg, binder)
+		coord = migration.NewCoordinator(fs, mcfg, migration.NewPolicyBinder(row.policy()))
 		mgr = coord
 	}
 	fw := compute.New(fs, mgr)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ import (
 
 func TestEnvPolicies(t *testing.T) {
 	t.Parallel()
-	for _, p := range []Policy{HDFS, RAM, Ignem, DYRS, Naive} {
+	for _, p := range Policies() {
 		env := NewEnv(p, DefaultOptions(1))
 		if p.Migrates() && env.Coord == nil {
 			t.Errorf("%s: no coordinator", p)
@@ -27,6 +28,44 @@ func TestEnvPolicies(t *testing.T) {
 			t.Errorf("%s: unexpected coordinator", p)
 		}
 		env.Close()
+	}
+}
+
+// TestParsePolicy pins the one configuration vocabulary: every row
+// parses in any case, unknown names fail listing every row, and each
+// migrating row's policy reports the row's own name.
+func TestParsePolicy(t *testing.T) {
+	want := []Policy{HDFS, RAM, Ignem, DYRS, Naive, CostAware}
+	if got := Policies(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Policies() = %v, want %v", got, want)
+	}
+	for _, p := range want {
+		for _, name := range []string{string(p), strings.ToLower(string(p)), strings.ToUpper(string(p))} {
+			got, err := ParsePolicy(name)
+			if err != nil || got != p {
+				t.Errorf("ParsePolicy(%q) = %q, %v; want %q", name, got, err, p)
+			}
+		}
+		if row := p.row(); row.policy != nil {
+			if name := row.policy().Name(); name != string(p) {
+				t.Errorf("%s row runs a policy named %q", p, name)
+			}
+		}
+	}
+	for _, bad := range []string{"", "dyrs-ref", "ram", "bogus"} {
+		_, err := ParsePolicy(bad)
+		if err == nil {
+			t.Errorf("ParsePolicy(%q) succeeded", bad)
+			continue
+		}
+		for _, p := range want {
+			if !strings.Contains(err.Error(), string(p)) {
+				t.Errorf("ParsePolicy(%q) error %q does not list %s", bad, err, p)
+			}
+		}
+	}
+	if !DYRS.Migrates() || !Naive.Migrates() || !CostAware.Migrates() || HDFS.Migrates() || RAM.Migrates() {
+		t.Error("Migrates disagrees with the table")
 	}
 }
 

@@ -265,7 +265,8 @@ func RunScale(opt ScaleOptions) (ScaleRow, error) {
 		}
 	}
 
-	coord := migration.NewCoordinator(fs, scaleMigrationConfig(), migration.NewDYRSBinder())
+	binder := migration.NewDYRSBinder()
+	coord := migration.NewCoordinator(fs, scaleMigrationConfig(), binder)
 
 	// Schedule the whole workload up front. Every job contributes one
 	// submit event, one eviction event, and one read event per block —
@@ -339,10 +340,8 @@ func RunScale(opt ScaleOptions) (ScaleRow, error) {
 	row.Dropped = st.Dropped
 	row.Evicted = st.Evicted
 	row.BytesMigratedTB = float64(st.BytesMigrated) / float64(sim.TB)
-	if b, ok := coord.Binder().(*migration.DYRSBinder); ok {
-		row.BinderUpdates = b.Updates
-		row.BinderSkipped = b.SkippedUpdates
-	}
+	row.BinderUpdates = binder.Updates
+	row.BinderSkipped = binder.SkippedUpdates
 
 	// Hard end-of-run invariants: the block tables must be internally
 	// consistent, and after every job evicted plus a full scavenge no

@@ -8,7 +8,6 @@ import (
 	"dyrs/internal/cluster"
 	"dyrs/internal/dfs"
 	"dyrs/internal/migration"
-	"dyrs/internal/policy"
 	"dyrs/internal/sim"
 	"dyrs/internal/trace"
 	"dyrs/internal/workload"
@@ -122,9 +121,9 @@ type ServingOptions struct {
 	Spec workload.ServingSpec
 	// Load tunes the driver; zero value means DefaultServingLoadOptions.
 	Load ServingLoadOptions
-	// Policies lists the configurations to score: "hdfs" (baseline, no
-	// migration) or any migrating internal/policy name.
-	// Empty means hdfs + every migrating policy.
+	// Policies lists the configurations to score, each a ParsePolicy
+	// name; rows keep the name as given. Empty means hdfs, costaware,
+	// dyrs and ignem.
 	Policies []string
 }
 
@@ -171,21 +170,6 @@ func DefaultServingSpec1k() workload.ServingSpec {
 	return spec
 }
 
-// servingPolicies expands the option list, defaulting to the full
-// comparison set.
-func servingPolicies(opt ServingOptions) []string {
-	if len(opt.Policies) > 0 {
-		return opt.Policies
-	}
-	names := []string{"hdfs"}
-	for _, n := range policy.Names() {
-		if p, err := policy.New(n); err == nil && p.Migrates() {
-			names = append(names, n)
-		}
-	}
-	return names
-}
-
 // RunServing draws the request stream once and scores every requested
 // policy against it.
 func RunServing(opt ServingOptions) (ServingReport, error) {
@@ -197,20 +181,21 @@ func RunServing(opt ServingOptions) (ServingReport, error) {
 	}
 	stream := workload.GenerateServing(opt.Spec, opt.Seed)
 	rep := ServingReport{Scenario: opt.Scenario, Requests: len(stream.Requests)}
-	for _, name := range servingPolicies(opt) {
-		envPolicy := HDFS
-		binder := ""
-		if name != "hdfs" {
-			envPolicy = DYRS
-			binder = name
+	names := opt.Policies
+	if len(names) == 0 {
+		names = []string{"hdfs", "costaware", "dyrs", "ignem"}
+	}
+	for _, name := range names {
+		pol, err := ParsePolicy(name)
+		if err != nil {
+			return rep, fmt.Errorf("serving %s: %w", opt.Scenario, err)
 		}
-		env := NewEnv(envPolicy, Options{
-			Workers:   opt.Workers,
-			Racks:     opt.Racks,
-			Seed:      opt.Seed,
-			Trace:     true,
-			Shards:    opt.Shards,
-			MigBinder: binder,
+		env := NewEnv(pol, Options{
+			Workers: opt.Workers,
+			Racks:   opt.Racks,
+			Seed:    opt.Seed,
+			Trace:   true,
+			Shards:  opt.Shards,
 		})
 		row, err := RunServingLoad(env, stream, opt.Load)
 		env.Close()

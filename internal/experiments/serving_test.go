@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"dyrs/internal/workload"
 )
 
 // TestServingSmokeScorecard runs the CI preset once and checks the
@@ -80,5 +82,31 @@ func TestServingDeterminismAndShardInvariance(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, c) {
 		t.Error("serving smoke diverges on the sharded engine's solo fast path")
+	}
+}
+
+// TestServingRowIsTheNamedConfiguration: each serving row runs exactly
+// the configuration its name parses to. The "ignem" row must be Ignem
+// under its own migration preset, as in Table I and Fig. 8, not the
+// Ignem policy under DYRS's config.
+func TestServingRowIsTheNamedConfiguration(t *testing.T) {
+	opt := ServingSmokeOptions(3)
+	opt.Policies = []string{"ignem"}
+	rep, err := RunServing(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv(Ignem, Options{Workers: opt.Workers, Racks: opt.Racks, Seed: opt.Seed, Trace: true})
+	defer env.Close()
+	direct, err := RunServingLoad(env, workload.GenerateServing(opt.Spec, opt.Seed), DefaultServingLoadOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct.Policy = "ignem"
+	if !reflect.DeepEqual(rep.Rows[0], *direct) {
+		t.Errorf("serving ignem row differs from NewEnv(Ignem) run:\n row    %+v\n direct %+v", rep.Rows[0], *direct)
+	}
+	if _, err := RunServing(ServingOptions{Policies: []string{"bogus"}}); err == nil {
+		t.Error("unknown serving policy accepted")
 	}
 }

@@ -77,10 +77,9 @@ func (r TraceReport) Fig1() string {
 func (r TraceReport) Fig2() string {
 	var b strings.Builder
 	b.WriteString("Fig 2 — PDF of lead-time/read-time ratio (log10 bins)\n")
-	h := r.Trace.RatioPDF(12)
-	pdf := h.PDF()
+	centres, pdf := r.Trace.RatioPDF(12)
 	for i, p := range pdf {
-		fmt.Fprintf(&b, "  log10(ratio) %+4.1f: %5.1f%%\n", h.BinCenter(i), p*100)
+		fmt.Fprintf(&b, "  log10(ratio) %+4.1f: %5.1f%%\n", centres[i], p*100)
 	}
 	fmt.Fprintf(&b, "jobs with lead-time > read-time: %.0f%% (paper: 81%%)\n",
 		r.Trace.FractionLeadCoversRead()*100)

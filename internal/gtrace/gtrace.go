@@ -289,15 +289,6 @@ func (t *Trace) FractionUnder(u float64) float64 {
 	return t.UtilizationSamples().FractionBelow(u)
 }
 
-// LeadReadRatios collects each job's lead-time/read-time ratio.
-func (t *Trace) LeadReadRatios() *metrics.Sample {
-	s := metrics.NewSample()
-	for _, j := range t.Jobs {
-		s.Add(j.Ratio())
-	}
-	return s
-}
-
 // FractionLeadCoversRead reports the fraction of jobs whose lead-time
 // exceeds their read-time — the paper's 81% feasibility headline.
 func (t *Trace) FractionLeadCoversRead() float64 {
@@ -313,14 +304,32 @@ func (t *Trace) FractionLeadCoversRead() float64 {
 	return float64(n) / float64(len(t.Jobs))
 }
 
-// RatioPDF returns the Fig. 2 probability density of log10(lead/read),
-// binned over [-3, 3].
-func (t *Trace) RatioPDF(bins int) *metrics.Histogram {
-	h := metrics.NewHistogram(-3, 3, bins)
-	for _, j := range t.Jobs {
-		h.Add(math.Log10(j.Ratio()))
+// RatioPDF returns the Fig. 2 probability density of log10(lead/read)
+// over bins equal-width bins spanning [-3, 3]: each bin's centre and its
+// share of jobs. Ratios outside the range count in the first or last
+// bin; an empty trace gives all-zero shares.
+func (t *Trace) RatioPDF(bins int) (centres, pdf []float64) {
+	const lo, hi = -3.0, 3.0
+	if bins <= 0 {
+		panic("gtrace: RatioPDF needs at least one bin")
 	}
-	return h
+	centres = make([]float64, bins)
+	pdf = make([]float64, bins)
+	w := (hi - lo) / float64(bins)
+	for i := range centres {
+		centres[i] = lo + (float64(i)+0.5)*w
+	}
+	for _, j := range t.Jobs {
+		idx := int((math.Log10(j.Ratio()) - lo) / (hi - lo) * float64(bins))
+		idx = max(0, min(idx, bins-1))
+		pdf[idx]++
+	}
+	if n := float64(len(t.Jobs)); n > 0 {
+		for i := range pdf {
+			pdf[i] /= n
+		}
+	}
+	return centres, pdf
 }
 
 // MeanLeadSeconds reports the realized mean job lead-time.

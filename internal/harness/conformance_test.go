@@ -157,8 +157,8 @@ func writeGolden() error {
 	return os.WriteFile(goldenPath, append(raw, '\n'), 0o644)
 }
 
-// checkGolden runs one scenario with the given binder name and compares
-// its digest to the committed entry.
+// checkGolden runs one scenario under the given -policy name ("" is the
+// default) and compares its digest to the committed entry.
 func checkGolden(t *testing.T, serving bool, seed int64, binder string) {
 	t.Helper()
 	want, ok := loadGolden(t)[goldenKey{serving, seed}]
@@ -167,7 +167,7 @@ func checkGolden(t *testing.T, serving bool, seed int64, binder string) {
 	}
 	sc := conformanceScenario(serving, seed)
 	sc.Policy = binder
-	got := digest(sc, RunScenario(sc, experiments.DYRS))
+	got := digest(sc, RunScenario(sc, sc.TestedPolicy()))
 	diffDigest(t, got, want)
 }
 
@@ -185,14 +185,14 @@ func runGoldenSuite(t *testing.T, serving bool, n int, binder string) {
 	}
 }
 
-// The four suites below share the one digest. They cover the two ways
-// production code builds the DYRS binder — by name through policy.New
-// (Options.MigBinder, the dyrs-fuzz -policy path) and as the
-// experiment's built-in binder (no override) — and keep the names the
-// live differential suites had, so their test IDs stay stable.
+// The four suites below share the one digest. They cover the two ways a
+// scenario selects DYRS — by name through experiments.ParsePolicy (the
+// dyrs-fuzz -policy dyrs path) and by default (no -policy) — and keep
+// the names the live differential suites had, so their test IDs stay
+// stable.
 
-// TestDYRSPolicyConformance pins DYRS bound by name through policy.New
-// to the golden digest over the Generate envelope.
+// TestDYRSPolicyConformance pins DYRS selected by name through
+// ParsePolicy to the golden digest over the Generate envelope.
 func TestDYRSPolicyConformance(t *testing.T) {
 	runGoldenSuite(t, false, conformanceSeeds, "dyrs")
 }
@@ -203,9 +203,9 @@ func TestDYRSPolicyConformanceServing(t *testing.T) {
 	runGoldenSuite(t, true, conformanceServingSeeds, "dyrs")
 }
 
-// TestResourceModelConformance pins the experiment's built-in DYRS
-// binder to the golden digest over the Generate envelope — the digest
-// the reference-mode fair-share resources also produced.
+// TestResourceModelConformance pins the default DYRS configuration to
+// the golden digest over the Generate envelope — the digest the
+// reference-mode fair-share resources also produced.
 func TestResourceModelConformance(t *testing.T) {
 	runGoldenSuite(t, false, conformanceSeeds, "")
 }

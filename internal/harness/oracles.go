@@ -19,9 +19,9 @@ const (
 )
 
 // OracleRunsPerSeed reports how many scenario executions CheckScenario
-// performs for a scenario with the given engine shard count: DYRS x2
-// (determinism) + HDFS (metamorphic), plus one sharded DYRS run
-// (shard invariance) when shards > 1.
+// performs for a scenario with the given engine shard count: the tested
+// policy x2 (determinism) + HDFS (metamorphic), plus one sharded run of
+// the tested policy (shard invariance) when shards > 1.
 func OracleRunsPerSeed(shards int) int {
 	if shards > 1 {
 		return 4
@@ -38,26 +38,27 @@ type Failure struct {
 func (f Failure) String() string { return f.Oracle + ": " + f.Detail }
 
 // CheckScenario executes the scenario three times on the sequential
-// engine — twice under DYRS, once under plain HDFS — plus, when
-// sc.Shards > 1, a fourth DYRS run on the sharded engine, and
-// evaluates the full oracle battery. An empty slice means every oracle
-// passed.
+// engine — twice under the tested policy (sc.TestedPolicy, DYRS by
+// default), once under plain HDFS — plus, when sc.Shards > 1, a fourth
+// run of the tested policy on the sharded engine, and evaluates the
+// full oracle battery. An empty slice means every oracle passed.
 func CheckScenario(sc Scenario) []Failure {
+	pol := sc.TestedPolicy()
 	seq := sc
 	seq.Shards = 0 // the reference runs are always sequential
-	r1 := RunScenario(seq, experiments.DYRS)
-	r2 := RunScenario(seq, experiments.DYRS)
+	r1 := RunScenario(seq, pol)
+	r2 := RunScenario(seq, pol)
 	rh := RunScenario(seq, experiments.HDFS)
 	var rs *RunResult
 	if sc.Shards > 1 {
-		rs = RunScenario(sc, experiments.DYRS)
+		rs = RunScenario(sc, pol)
 	}
 	return Evaluate(sc, r1, r2, rh, rs)
 }
 
-// Evaluate applies the oracles to the runs of a scenario: the two DYRS
-// runs, the HDFS run, and (nil when sc.Shards <= 1) the sharded-engine
-// DYRS run. Split from CheckScenario so tests can feed synthetic
+// Evaluate applies the oracles to the runs of a scenario: the two runs
+// of the tested policy, the HDFS run, and (nil when sc.Shards <= 1) the
+// sharded-engine run of the tested policy. Split from CheckScenario so tests can feed synthetic
 // results.
 func Evaluate(sc Scenario, r1, r2, rh, rs *RunResult) []Failure {
 	var fs []Failure
@@ -166,12 +167,12 @@ func Evaluate(sc Scenario, r1, r2, rh, rs *RunResult) []Failure {
 	// 4. Metamorphic: migration must not change which jobs complete, or
 	// how many serving requests are served.
 	if !reflect.DeepEqual(r1.Completed, rh.Completed) {
-		fail(OracleMetamorphic, "DYRS completed %v but HDFS completed %v",
-			r1.Completed, rh.Completed)
+		fail(OracleMetamorphic, "%s completed %v but HDFS completed %v",
+			r1.Policy, r1.Completed, rh.Completed)
 	}
 	if sc.Serving && r1.RequestsServed != rh.RequestsServed {
-		fail(OracleMetamorphic, "DYRS served %d requests but HDFS served %d",
-			r1.RequestsServed, rh.RequestsServed)
+		fail(OracleMetamorphic, "%s served %d requests but HDFS served %d",
+			r1.Policy, r1.RequestsServed, rh.RequestsServed)
 	}
 
 	// 5. Determinism: identical scenario, byte-identical trace.

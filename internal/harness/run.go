@@ -176,7 +176,6 @@ func newScenarioEnv(sc Scenario, policy experiments.Policy) *experiments.Env {
 		SlowNodes: sc.SlowNodes,
 		Trace:     true,
 		Shards:    sc.Shards,
-		MigBinder: sc.Policy,
 	})
 	env.Tracer().SetFlightRecorder(512)
 	return env

@@ -32,6 +32,7 @@ import (
 	"math/rand"
 	"time"
 
+	"dyrs/internal/experiments"
 	"dyrs/internal/sim"
 	"dyrs/internal/workload"
 )
@@ -144,9 +145,10 @@ type Scenario struct {
 	// (dyrs-fuzz -shards), never drawn by generate, so existing repro
 	// masks stay stable.
 	Shards int
-	// Policy names the migrating internal/policy policy ("dyrs",
-	// "ignem", "costaware") the migrating oracle runs bind with. Empty
-	// means "dyrs". Set by the driver (dyrs-fuzz -policy), never drawn by
+	// Policy names the migrating configuration (an
+	// experiments.ParsePolicy name such as "dyrs", "ignem", "naive" or
+	// "costaware") the migrating oracle runs use. Empty means "dyrs". Set
+	// from the command line (dyrs-fuzz -policy), never drawn by
 	// generate, so repro masks stay stable and carry the policy
 	// explicitly.
 	Policy string
@@ -169,6 +171,20 @@ type Scenario struct {
 	Faults     []Fault
 	// Horizon bounds the whole run; exceeding it is a liveness failure.
 	Horizon time.Duration
+}
+
+// TestedPolicy resolves Policy to the configuration the migrating
+// oracle runs use. The command line validates the name up front
+// (dyrs-fuzz -policy), so an unknown name here is a programming error.
+func (sc Scenario) TestedPolicy() experiments.Policy {
+	if sc.Policy == "" {
+		return experiments.DYRS
+	}
+	p, err := experiments.ParsePolicy(sc.Policy)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // String renders a compact one-line description for failure reports.

@@ -16,7 +16,7 @@ type Repro struct {
 	Seed       int64
 	Large      bool   // regenerate from the large-topology envelope
 	Serving    bool   // regenerate from the serving-workload envelope
-	Policy     string // migration binder the failure was observed under ("": dyrs)
+	Policy     string // migrating configuration the failure was observed under ("": dyrs)
 	Shards     int    // engine shard count the failure was observed at (0/1: sequential)
 	KeepFaults []int  // nil: all faults
 	KeepJobs   []int  // nil: all jobs

@@ -201,63 +201,6 @@ func (s *Sample) Values() []float64 {
 	return out
 }
 
-// Histogram counts observations into fixed-width bins over [lo, hi).
-// Observations outside the range land in the first or last bin.
-type Histogram struct {
-	lo, hi float64
-	bins   []int
-	n      int
-}
-
-// NewHistogram creates a histogram with the given range and bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if hi <= lo || bins <= 0 {
-		panic("metrics: invalid histogram parameters")
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int, bins)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(v float64) {
-	idx := int((v - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.bins) {
-		idx = len(h.bins) - 1
-	}
-	h.bins[idx]++
-	h.n++
-}
-
-// Count reports the total observations.
-func (h *Histogram) Count() int { return h.n }
-
-// Bins returns a copy of the per-bin counts.
-func (h *Histogram) Bins() []int {
-	out := make([]int, len(h.bins))
-	copy(out, h.bins)
-	return out
-}
-
-// BinCenter reports the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + (float64(i)+0.5)*w
-}
-
-// PDF returns the per-bin probability mass (fractions summing to 1).
-func (h *Histogram) PDF() []float64 {
-	out := make([]float64, len(h.bins))
-	if h.n == 0 {
-		return out
-	}
-	for i, c := range h.bins {
-		out[i] = float64(c) / float64(h.n)
-	}
-	return out
-}
-
 // TimePoint is one (time, value) sample of a time series. T is in seconds
 // of virtual time.
 type TimePoint struct {

@@ -159,44 +159,6 @@ func TestSampleValuesCopy(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.9, 10, 100} {
-		h.Add(v)
-	}
-	bins := h.Bins()
-	// -1,0,1.9 -> bin0; 2 -> bin1; 5 -> bin2; 9.9,10,100 -> bin4.
-	want := []int{3, 1, 1, 0, 3}
-	for i := range want {
-		if bins[i] != want[i] {
-			t.Fatalf("bins = %v, want %v", bins, want)
-		}
-	}
-	if h.Count() != 8 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if c := h.BinCenter(0); c != 1 {
-		t.Errorf("BinCenter(0) = %v, want 1", c)
-	}
-	pdf := h.PDF()
-	var sum float64
-	for _, p := range pdf {
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("PDF sums to %v", sum)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid histogram did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 func TestTimeSeries(t *testing.T) {
 	ts := NewTimeSeries("est")
 	if ts.Name() != "est" || ts.Len() != 0 || ts.MaxValue() != 0 {

@@ -1,8 +1,6 @@
 package migration
 
 import (
-	"fmt"
-
 	"dyrs/internal/cluster"
 	"dyrs/internal/policy"
 	"dyrs/internal/sim"
@@ -74,30 +72,15 @@ type PolicyBinder struct {
 // input-change gate may skip before forcing a full Algorithm 1 pass.
 const maxSkippedPasses = 8
 
-// DYRSBinder is the paper's binding policy — the PolicyBinder running
-// the extracted policy.DYRS. The alias keeps the pre-extraction name
-// working at every call site.
-type DYRSBinder = PolicyBinder
-
 // NewDYRSBinder returns the DYRS binding policy: delayed binding with
 // Algorithm 1 earliest-finish targeting (§III-A).
 func NewDYRSBinder() *PolicyBinder { return NewPolicyBinder(policy.NewDYRS()) }
 
-// NewPolicyBinder wraps a target-selection policy as a binder. The
-// policy must migrate (policy.HDFS and other Migrates() == false
-// policies run no framework at all).
-func NewPolicyBinder(p policy.Policy) *PolicyBinder {
-	if !p.Migrates() {
-		panic(fmt.Sprintf("migration: policy %s does not migrate; run without a coordinator instead", p.Name()))
-	}
-	return &PolicyBinder{pol: p}
-}
+// NewPolicyBinder wraps a target-selection policy as a binder.
+func NewPolicyBinder(p policy.Policy) *PolicyBinder { return &PolicyBinder{pol: p} }
 
 // Name implements Binder.
 func (b *PolicyBinder) Name() string { return b.pol.Name() }
-
-// Policy returns the wrapped target-selection policy.
-func (b *PolicyBinder) Policy() policy.Policy { return b.pol }
 
 func (b *PolicyBinder) attach(c *Coordinator) {
 	b.c = c
@@ -301,71 +284,6 @@ func (b *PolicyBinder) stopBinder() {
 		b.ticker.Stop()
 	}
 }
-
-// NaiveBinder is the Fig. 10 comparator: delayed binding like DYRS, but
-// when a slave pulls, it simply receives the oldest pending blocks that
-// have a replica on it — no earliest-finish reasoning, so the last few
-// migrations can land on a slow node and become stragglers.
-type NaiveBinder struct {
-	c       *Coordinator
-	pending []*blockInfo
-}
-
-// NewNaiveBinder returns the naive load-balancing policy.
-func NewNaiveBinder() *NaiveBinder { return &NaiveBinder{} }
-
-// Name implements Binder.
-func (b *NaiveBinder) Name() string { return "Naive" }
-
-func (b *NaiveBinder) attach(c *Coordinator) { b.c = c }
-
-// OnMigrate appends to the pending list.
-func (b *NaiveBinder) OnMigrate(blocks []*blockInfo) {
-	b.pending = append(b.pending, blocks...)
-}
-
-// OnPull hands over the oldest pending blocks with a replica on n.
-func (b *NaiveBinder) OnPull(n cluster.NodeID, space int) []*blockInfo {
-	if space <= 0 || len(b.pending) == 0 {
-		return nil
-	}
-	var out []*blockInfo
-	rest := b.pending[:0]
-	for _, bi := range b.pending {
-		if len(out) < space && hasReplicaOn(b.c, bi, n) {
-			out = append(out, bi)
-			continue
-		}
-		rest = append(rest, bi)
-	}
-	b.pending = rest
-	return out
-}
-
-func hasReplicaOn(c *Coordinator, bi *blockInfo, n cluster.NodeID) bool {
-	for _, loc := range c.fs.Replicas(bi.id) {
-		if loc == n {
-			return true
-		}
-	}
-	return false
-}
-
-// Remove discards a pending block.
-func (b *NaiveBinder) Remove(bi *blockInfo) {
-	for i, p := range b.pending {
-		if p == bi {
-			b.pending = append(b.pending[:i], b.pending[i+1:]...)
-			return
-		}
-	}
-}
-
-// PendingCount implements Binder.
-func (b *NaiveBinder) PendingCount() int { return len(b.pending) }
-
-// Reset implements Binder.
-func (b *NaiveBinder) Reset() { b.pending = nil }
 
 // stoppable is implemented by binders owning background tickers.
 type stoppable interface{ stopBinder() }

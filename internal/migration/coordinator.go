@@ -67,9 +67,9 @@ type Coordinator struct {
 	stats Stats
 }
 
-// Binder decides replica selection and binding time. Implementations:
-// PolicyBinder (any migrating policy.Policy: DYRS, Ignem, CostAware) and
-// NaiveBinder.
+// Binder decides replica selection and binding time. Production code
+// has one implementation, PolicyBinder, which drives any policy.Policy
+// (DYRS, Ignem, Naive, CostAware); tests substitute frozen references.
 type Binder interface {
 	// Name identifies the policy in output tables.
 	Name() string
@@ -182,9 +182,6 @@ func (c *Coordinator) setRecord(id dfs.BlockID, bi *blockInfo) {
 	}
 	c.info[int(id)] = bi
 }
-
-// Binder returns the active binding policy.
-func (c *Coordinator) Binder() Binder { return c.binder }
 
 // Slave returns the migration slave on the given node.
 func (c *Coordinator) Slave(id cluster.NodeID) *Slave { return c.slaves[int(id)] }

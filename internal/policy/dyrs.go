@@ -10,8 +10,8 @@ import "dyrs/internal/cluster"
 // finish time advances by the block — so a convoy of blocks spreads
 // across replicas in proportion to their measured speed (§III-A2).
 //
-// This implementation is the extracted core of the pre-refactor
-// DYRSBinder and is byte-identical to it: same float expressions, same
+// This implementation is the extracted core of the pre-refactor DYRS
+// binder and is byte-identical to it: same float expressions, same
 // first-wins strict-< tie-breaking, same running-finish update. The
 // differential conformance suite in internal/harness pins this against
 // the frozen reference binder across 60 fuzz seeds.
@@ -27,9 +27,6 @@ func NewDYRS() *DYRS { return &DYRS{} }
 
 // Name implements Policy.
 func (p *DYRS) Name() string { return "DYRS" }
-
-// Migrates implements Policy.
-func (p *DYRS) Migrates() bool { return true }
 
 // BindImmediately implements Policy: DYRS delays binding until pull.
 func (p *DYRS) BindImmediately() bool { return false }

@@ -22,9 +22,6 @@ func NewIgnem() *Ignem { return &Ignem{} }
 // Name implements Policy.
 func (p *Ignem) Name() string { return "Ignem" }
 
-// Migrates implements Policy.
-func (p *Ignem) Migrates() bool { return true }
-
 // BindImmediately implements Policy: Ignem never delays binding.
 func (p *Ignem) BindImmediately() bool { return true }
 
@@ -53,29 +50,6 @@ func (p *Ignem) Assign(req Request) (cluster.NodeID, bool) {
 	return p.buf[p.rand.Intn(len(p.buf))], true
 }
 
-// HDFS is the no-migration baseline: plain disk reads. It exists so the
-// baseline is a registry entry like every competitor; callers see
-// Migrates() == false and run no migration framework at all.
-type HDFS struct{}
-
-// NewHDFS returns the no-migration baseline policy.
-func NewHDFS() HDFS { return HDFS{} }
-
-// Name implements Policy.
-func (HDFS) Name() string { return "HDFS" }
-
-// Migrates implements Policy.
-func (HDFS) Migrates() bool { return false }
-
-// BindImmediately implements Policy.
-func (HDFS) BindImmediately() bool { return false }
-
-// Begin implements Policy.
-func (HDFS) Begin(View) {}
-
-// Assign implements Policy: HDFS never targets anything.
-func (HDFS) Assign(Request) (cluster.NodeID, bool) { return -1, false }
-
 // CostAware is the new heuristic this lab adds: each block targets the
 // replica with the lowest marginal migration cost
 //
@@ -98,9 +72,6 @@ func NewCostAware() *CostAware { return &CostAware{} }
 
 // Name implements Policy.
 func (p *CostAware) Name() string { return "CostAware" }
-
-// Migrates implements Policy.
-func (p *CostAware) Migrates() bool { return true }
 
 // BindImmediately implements Policy: delayed binding, like DYRS.
 func (p *CostAware) BindImmediately() bool { return false }
@@ -138,6 +109,57 @@ func (p *CostAware) Assign(req Request) (cluster.NodeID, bool) {
 		if best < 0 || cost < bestCost {
 			best = loc
 			bestCost = cost
+		}
+	}
+	if best < 0 {
+		return -1, false
+	}
+	p.load[int(best)]++
+	return best, true
+}
+
+// Naive is the Fig. 10 comparator: delayed binding like DYRS, but
+// bandwidth-blind. Each block targets the live replica with the fewest
+// queued-plus-assigned-this-pass blocks, so queues stay evenly deep
+// while a slow node's queue drains slowest — the last few migrations
+// can land there and become stragglers.
+type Naive struct {
+	load  []int
+	valid []bool
+}
+
+// NewNaive returns the queue-depth balancing policy.
+func NewNaive() *Naive { return &Naive{} }
+
+// Name implements Policy.
+func (p *Naive) Name() string { return "Naive" }
+
+// BindImmediately implements Policy: delayed binding, like DYRS.
+func (p *Naive) BindImmediately() bool { return false }
+
+// Begin snapshots per-node liveness and queue depths.
+func (p *Naive) Begin(v View) {
+	n := len(v.Nodes)
+	if len(p.load) < n {
+		p.load = make([]int, n)
+		p.valid = make([]bool, n)
+	}
+	for i, nv := range v.Nodes {
+		p.valid[i] = nv.Alive
+		p.load[i] = nv.Queued
+	}
+}
+
+// Assign picks the live replica with the shallowest queue; ties break on
+// the first replica in Request order (strict <).
+func (p *Naive) Assign(req Request) (cluster.NodeID, bool) {
+	best := cluster.NodeID(-1)
+	for _, loc := range req.Replicas {
+		if !p.valid[int(loc)] {
+			continue
+		}
+		if best < 0 || p.load[int(loc)] < p.load[int(best)] {
+			best = loc
 		}
 	}
 	if best < 0 {

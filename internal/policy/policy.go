@@ -1,8 +1,10 @@
 // Package policy extracts the migration target-selection decision —
 // which replica of which block should migrate to memory, and when that
-// binding happens — behind a small interface, so DYRS, Ignem, HDFS and
-// new heuristics are swappable implementations scored side by side
-// instead of branches hard-wired into the coordinator.
+// binding happens — behind a small interface, so DYRS, Ignem, the naive
+// balancer and new heuristics are swappable implementations scored side
+// by side instead of branches hard-wired into the coordinator. Which
+// policy a named configuration runs, and under which migration config,
+// is decided by the one configuration table in internal/experiments.
 //
 // A policy is a pure decision function over an explicit cluster view:
 // it sees per-node liveness, per-byte migration-time estimates and
@@ -17,9 +19,7 @@
 package policy
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 
 	"dyrs/internal/cluster"
 	"dyrs/internal/dfs"
@@ -72,11 +72,9 @@ type Request struct {
 // from View.Rand), ties break on the first replica in Request order,
 // and dead nodes are never targeted.
 type Policy interface {
-	// Name identifies the policy in tables, repro lines and -policy flags.
+	// Name identifies the policy in tables; it is the name of the
+	// experiment configuration that runs it.
 	Name() string
-	// Migrates reports whether the policy migrates at all. HDFS returns
-	// false: callers run no migration framework for such policies.
-	Migrates() bool
 	// BindImmediately reports whether blocks bind to their target the
 	// moment they are requested (Ignem) instead of staying pending at
 	// the master until a slave pulls (DYRS).
@@ -86,26 +84,4 @@ type Policy interface {
 	// Assign picks the target for one request. ok is false when no
 	// live replica is targetable; the block then stays untargeted.
 	Assign(req Request) (target cluster.NodeID, ok bool)
-}
-
-// New returns the named policy. Accepted names are Names().
-func New(name string) (Policy, error) {
-	switch name {
-	case "dyrs":
-		return NewDYRS(), nil
-	case "ignem":
-		return NewIgnem(), nil
-	case "hdfs":
-		return NewHDFS(), nil
-	case "costaware":
-		return NewCostAware(), nil
-	}
-	return nil, fmt.Errorf("policy: unknown policy %q (valid: %v)", name, Names())
-}
-
-// Names lists the registered policy names, sorted.
-func Names() []string {
-	names := []string{"dyrs", "ignem", "hdfs", "costaware"}
-	sort.Strings(names)
-	return names
 }

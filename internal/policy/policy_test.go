@@ -157,3 +157,34 @@ func TestIgnemUniformOverLiveReplicas(t *testing.T) {
 		}
 	}
 }
+
+// TestNaiveBalancesQueueDepthBlindToSpeed checks Naive spreads blocks by
+// queue depth alone: a node 20x slower still receives every other block
+// once the queues are level, where DYRS would route around it.
+func TestNaiveBalancesQueueDepthBlindToSpeed(t *testing.T) {
+	p := NewNaive()
+	p.Begin(View{
+		Nodes: []NodeView{
+			{Alive: true, PerByte: 2e-7, Queued: 0}, // slow
+			{Alive: true, PerByte: 1e-8, Queued: 2},
+		},
+		StdBlock: 128 * sim.MB,
+	})
+	var got []cluster.NodeID
+	for i := 0; i < 6; i++ {
+		target, ok := p.Assign(Request{Block: dfs.BlockID(i), Size: 128 * sim.MB,
+			Replicas: []cluster.NodeID{1, 0}})
+		if !ok {
+			t.Fatalf("block %d unassigned", i)
+		}
+		got = append(got, target)
+	}
+	// Node 0 starts two shallower, so it takes two blocks; from then on
+	// ties go to the first replica (node 1) and the queues alternate.
+	want := []cluster.NodeID{0, 0, 1, 0, 1, 0}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("targets %v, want %v", got, want)
+		}
+	}
+}
