@@ -1,6 +1,7 @@
 package compute
 
 import (
+	"sort"
 	"time"
 
 	"dyrs/internal/cluster"
@@ -73,20 +74,42 @@ func (fw *Framework) StopSpeculation() {
 	}
 }
 
-// speculate scans running map tasks and duplicates stragglers.
+// speculate scans running map tasks and duplicates stragglers. Jobs
+// are scanned in ID order and each job's running copies in (start time,
+// block ID) order, so the duplicates join the pending list — and win
+// slots — in an order that never depends on map iteration.
 func (fw *Framework) speculate() {
 	now := fw.eng.Now()
+	jobs := make([]*Job, 0, len(fw.jobs))
 	for _, j := range fw.jobs {
-		if j.State != JobRunning || len(j.Tasks) == 0 {
-			continue
+		if j.State == JobRunning && len(j.Tasks) > 0 {
+			jobs = append(jobs, j)
 		}
+	}
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
+	var copies []*runningMap
+	for _, j := range jobs {
 		// Median completed map duration for this job.
 		med := medianTaskSeconds(j.Tasks)
 		if med <= 0 {
 			continue
 		}
 		threshold := med * fw.specCfg.SlowdownFactor
+		copies = copies[:0]
 		for _, rm := range j.running {
+			copies = append(copies, rm)
+		}
+		sort.Slice(copies, func(a, b int) bool {
+			x, y := copies[a], copies[b]
+			if x.started != y.started {
+				return x.started < y.started
+			}
+			if x.task.block.ID != y.task.block.ID {
+				return x.task.block.ID < y.task.block.ID
+			}
+			return x.node < y.node
+		})
+		for _, rm := range copies {
 			if rm.speculated || j.doneBlocks[rm.task.block.ID] {
 				continue
 			}

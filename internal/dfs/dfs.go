@@ -243,6 +243,9 @@ type FS struct {
 	// memCount tracks the number of registered in-memory replicas
 	// (previously len() of the registry map).
 	memCount int
+	// memEpoch counts buffer growth outside migration completions; see
+	// MemEpoch.
+	memEpoch uint64
 
 	// decommissioned marks nodes excluded from placement; placeable
 	// counts those still eligible.
@@ -605,8 +608,10 @@ func (fs *FS) MemReplica(id BlockID) (cluster.NodeID, bool) {
 }
 
 // RegisterMem records that node holds an in-memory replica of the block
-// and charges the bytes to the DataNode's buffer accounting. Called by
-// the migration slave when a migration completes.
+// and charges the bytes to the DataNode's buffer accounting. Callers are
+// the coordinated cache's admission and up-front pinning; a migration
+// completion registers through MigrateToMemory instead. Every growing
+// call advances MemEpoch.
 //
 // A block has at most one registered memory replica. If a stale copy is
 // still buffered on another node — possible when the migration master
@@ -614,9 +619,25 @@ func (fs *FS) MemReplica(id BlockID) (cluster.NodeID, bool) {
 // copy is released so the registry and the per-node buffers stay in
 // bijection (Fsck invariant 3 checks both directions).
 func (fs *FS) RegisterMem(id BlockID, node cluster.NodeID) {
+	if fs.registerMem(id, node) {
+		fs.memEpoch++
+	}
+}
+
+// MemEpoch increments whenever RegisterMem grows a node's buffer — a
+// buffer growing outside the migration slave's own transfers. The
+// migration coordinator compares epochs to wake slaves whose scavenge
+// threshold may have been crossed, as it does with
+// cluster.MembershipEpoch for liveness.
+func (fs *FS) MemEpoch() uint64 { return fs.memEpoch }
+
+// registerMem is RegisterMem without the epoch: the migration
+// completion path, whose slave is already awake to see its own buffer
+// grow. It reports whether the block was newly registered on node.
+func (fs *FS) registerMem(id BlockID, node cluster.NodeID) bool {
 	prev := fs.table.memNode[int(id)]
 	if prev == int32(node) {
-		return
+		return false
 	}
 	if prev >= 0 {
 		fs.DropMem(id, cluster.NodeID(prev))
@@ -627,6 +648,7 @@ func (fs *FS) RegisterMem(id BlockID, node cluster.NodeID) {
 	dn.resident = append(dn.resident, id)
 	dn.memUsed += fs.table.blockSize(id)
 	fs.memCount++
+	return true
 }
 
 // DropMem removes the in-memory replica of a block from a node.
@@ -1039,7 +1061,7 @@ func (dn *DataNode) MigrateToMemory(id BlockID, weight float64, done func(sim.Du
 		res = dn.node.SSD
 	}
 	f := res.StartWeighted(fs.table.blockSize(id), weight, func(*sim.Flow) {
-		fs.RegisterMem(id, dn.node.ID)
+		fs.registerMem(id, dn.node.ID)
 		if done != nil {
 			done(fs.eng.Now().Sub(start))
 		}

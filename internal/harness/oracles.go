@@ -41,13 +41,16 @@ func (f Failure) String() string { return f.Oracle + ": " + f.Detail }
 // engine — twice under the tested policy (sc.TestedPolicy, DYRS by
 // default), once under plain HDFS — plus, when sc.Shards > 1, a fourth
 // run of the tested policy on the sharded engine, and evaluates the
-// full oracle battery. An empty slice means every oracle passed.
+// full oracle battery. An empty slice means every oracle passed. The
+// second tested-policy run turns the estimate series off, so the
+// determinism oracle also proves that skipping quiescent slaves in the
+// coordinator's heartbeat changes nothing observable.
 func CheckScenario(sc Scenario) []Failure {
 	pol := sc.TestedPolicy()
 	seq := sc
 	seq.Shards = 0 // the reference runs are always sequential
 	r1 := RunScenario(seq, pol)
-	r2 := RunScenario(seq, pol)
+	r2 := runScenario(seq, pol, true)
 	rh := RunScenario(seq, experiments.HDFS)
 	var rs *RunResult
 	if sc.Shards > 1 {

@@ -102,11 +102,21 @@ func buildSpec(env *experiments.Env, j JobSpec) compute.JobSpec {
 // anomaly (timeouts, submission errors, fsck violations) is recorded in
 // the result for the oracles to judge.
 func RunScenario(sc Scenario, policy experiments.Policy) *RunResult {
+	return runScenario(sc, policy, false)
+}
+
+// runScenario is RunScenario, optionally with the migration slaves'
+// estimate series off (seriesOff). The series is not part of any
+// observation, so both settings must give identical results; with it
+// off, idle slaves leave the coordinator's heartbeat (Slave.quiescent),
+// and the determinism oracle compares that path against the one where
+// every slave beats.
+func runScenario(sc Scenario, policy experiments.Policy, seriesOff bool) *RunResult {
 	if sc.Serving {
-		return runServingScenario(sc, policy)
+		return runServingScenario(sc, policy, seriesOff)
 	}
 	res := &RunResult{Policy: policy, Submitted: len(sc.Jobs)}
-	env := newScenarioEnv(sc, policy)
+	env := newScenarioEnv(sc, policy, seriesOff)
 	defer env.Close()
 	if sc.Heartbeats {
 		env.FS.EnableHeartbeats(dfs.DefaultLivenessConfig())
@@ -167,16 +177,22 @@ func RunScenario(sc Scenario, policy experiments.Policy) *RunResult {
 // newScenarioEnv builds the traced environment for a scenario run, with
 // the flight recorder armed so a failing scenario leaves its last
 // moments behind. Sampling stays off: the span-tally oracles need the
-// full trace.
-func newScenarioEnv(sc Scenario, policy experiments.Policy) *experiments.Env {
-	env := experiments.NewEnv(policy, experiments.Options{
+// full trace. seriesOff disables the migration estimate series.
+func newScenarioEnv(sc Scenario, policy experiments.Policy, seriesOff bool) *experiments.Env {
+	opt := experiments.Options{
 		Workers:   sc.Workers,
 		Racks:     sc.Racks,
 		Seed:      sc.Seed,
 		SlowNodes: sc.SlowNodes,
 		Trace:     true,
 		Shards:    sc.Shards,
-	})
+	}
+	if seriesOff {
+		mcfg := migration.DefaultConfig()
+		mcfg.DisableEstimateSeries = true
+		opt.MigrationConfig = &mcfg
+	}
+	env := experiments.NewEnv(policy, opt)
 	env.Tracer().SetFlightRecorder(512)
 	return env
 }
@@ -284,9 +300,9 @@ func servingLoadOptions() experiments.ServingLoadOptions {
 // runServingScenario executes a serving scenario: the drawn open-loop
 // request stream through the shared serving driver, under the
 // scenario's fault schedule.
-func runServingScenario(sc Scenario, policy experiments.Policy) *RunResult {
+func runServingScenario(sc Scenario, policy experiments.Policy, seriesOff bool) *RunResult {
 	res := &RunResult{Policy: policy}
-	env := newScenarioEnv(sc, policy)
+	env := newScenarioEnv(sc, policy, seriesOff)
 	defer env.Close()
 	if sc.Heartbeats {
 		env.FS.EnableHeartbeats(dfs.DefaultLivenessConfig())

@@ -2,6 +2,7 @@ package migration
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"dyrs/internal/cluster"
@@ -33,6 +34,19 @@ type Coordinator struct {
 	binder Binder
 	slaves []*Slave
 	sched  ActiveJobChecker
+
+	// heartbeat is the one coordinator-owned slave heartbeat. Each beat
+	// ticks the awake slaves only, in node-ID order; awake is a bitset
+	// over node IDs. A slave leaves it once its next tick would be a
+	// no-op (Slave.quiescent) and rejoins at a wake point: a bind
+	// (enqueue), a slave restart, fresh pending blocks, a membership
+	// change, or buffer growth outside its own migrations.
+	heartbeat *sim.Ticker
+	awake     []uint64
+	// lastMembers and lastMemEpoch are the cluster membership and dfs
+	// buffer-growth epochs seen by the previous beat.
+	lastMembers  uint64
+	lastMemEpoch uint64
 
 	// info is the master's block-record table, a dense slice indexed by
 	// BlockID (block IDs are small dense integers allocated by the file
@@ -113,7 +127,59 @@ func NewCoordinator(fs *dfs.FS, cfg Config, binder Binder) *Coordinator {
 	for _, n := range cl.Nodes() {
 		c.slaves = append(c.slaves, newSlave(c, n))
 	}
+	// Arm the beat here, after the binder's update ticker and before
+	// anything built later (rate controller, samplers), so at every
+	// boundary it holds the queue position a per-slave heartbeat would:
+	// same-instant tie order depends on it (DESIGN.md §5). Every slave
+	// starts awake.
+	c.awake = make([]uint64, (len(c.slaves)+63)/64)
+	c.wakeAll()
+	c.lastMembers = cl.MembershipEpoch()
+	c.lastMemEpoch = fs.MemEpoch()
+	c.heartbeat = sim.NewTicker(c.eng, cfg.Heartbeat, c.beat)
 	return c
+}
+
+// beat is one heartbeat across the fleet: every awake slave ticks, in
+// node-ID order, and drops out of the awake set if its next tick would
+// be a no-op. The walk re-reads the current bitset word after each tick,
+// so a slave woken by an earlier one in the same beat still ticks in its
+// own slot, exactly where its per-slave heartbeat event used to fire.
+func (c *Coordinator) beat() {
+	if m, e := c.cl.MembershipEpoch(), c.fs.MemEpoch(); m != c.lastMembers || e != c.lastMemEpoch {
+		c.lastMembers, c.lastMemEpoch = m, e
+		c.wakeAll()
+	}
+	for w := range c.awake {
+		for done := uint64(0); ; {
+			word := c.awake[w] &^ done
+			if word == 0 {
+				break
+			}
+			bit := word & -word
+			done |= bit
+			s := c.slaves[w*64+bits.TrailingZeros64(word)]
+			s.tick()
+			if s.quiescent() {
+				c.awake[w] &^= bit
+			}
+		}
+	}
+}
+
+// wake returns a slave to the awake set; it ticks at the next beat.
+func (c *Coordinator) wake(id cluster.NodeID) {
+	c.awake[int(id)/64] |= 1 << (uint(id) % 64)
+}
+
+// wakeAll puts every slave in the awake set.
+func (c *Coordinator) wakeAll() {
+	for i := range c.awake {
+		c.awake[i] = ^uint64(0)
+	}
+	if r := len(c.slaves) % 64; r != 0 {
+		c.awake[len(c.awake)-1] = 1<<uint(r) - 1
+	}
 }
 
 // attachable is implemented by binders that need a back-reference to the
@@ -256,6 +322,8 @@ func (c *Coordinator) Migrate(job JobID, files []string, implicitEvict bool) err
 		}
 	}
 	if len(fresh) > 0 {
+		// Pending work makes every slave's pull live again.
+		c.wakeAll()
 		c.binder.OnMigrate(fresh)
 		// Kick the slaves so migration can begin within an RPC round-trip
 		// instead of waiting out a heartbeat; slaves pull per policy.
@@ -484,6 +552,8 @@ func (c *Coordinator) RestartSlaveProcess(id cluster.NodeID) {
 	}
 	c.fs.DropAllMem(id)
 	s.estimator.reset()
+	// The reset estimate must reach the master at the next beat.
+	c.wake(id)
 }
 
 // ScavengeAll runs the scavenging pass on every slave immediately,
@@ -499,12 +569,13 @@ func (c *Coordinator) ScavengeAll() {
 	}
 }
 
-// Shutdown stops all slave tickers and any binder background thread;
+// Shutdown stops the slave heartbeat and any binder background thread;
 // used at the end of an experiment so the event queue can drain.
 func (c *Coordinator) Shutdown() {
 	for _, s := range c.slaves {
-		s.stop()
+		s.stopped = true
 	}
+	c.heartbeat.Stop()
 	if sb, ok := c.binder.(stoppable); ok {
 		sb.stopBinder()
 	}

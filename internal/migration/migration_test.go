@@ -19,7 +19,7 @@ type testRig struct {
 	c   *Coordinator
 }
 
-func newRig(t *testing.T, seed int64, nodes int, binder Binder, cfgNode func(int) cluster.NodeConfig, cfg Config) *testRig {
+func newRig(t testing.TB, seed int64, nodes int, binder Binder, cfgNode func(int) cluster.NodeConfig, cfg Config) *testRig {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	cl := cluster.New(eng, nodes, cfgNode)
@@ -32,7 +32,7 @@ func newRig(t *testing.T, seed int64, nodes int, binder Binder, cfgNode func(int
 	return &testRig{eng: eng, cl: cl, fs: fs, c: c}
 }
 
-func (r *testRig) mkFile(t *testing.T, name string, blocks int) *dfs.File {
+func (r *testRig) mkFile(t testing.TB, name string, blocks int) *dfs.File {
 	t.Helper()
 	f, err := r.fs.CreateFile(name, sim.Bytes(blocks)*r.fs.Config().BlockSize)
 	if err != nil {

@@ -62,7 +62,6 @@ type Slave struct {
 	memLimit  sim.Bytes
 	maxActive int
 
-	ticker    *sim.Ticker
 	stopped   bool
 	estSeries *metrics.TimeSeries
 
@@ -92,7 +91,6 @@ func newSlave(c *Coordinator, node *cluster.Node) *Slave {
 	if !c.cfg.DisableEstimateSeries {
 		s.estSeries = metrics.NewTimeSeries(node.ID.String())
 	}
-	s.ticker = sim.NewTicker(c.eng, c.cfg.Heartbeat, s.tick)
 	return s
 }
 
@@ -115,7 +113,8 @@ func (s *Slave) occupancy() int {
 
 // tick is the heartbeat: refresh the estimate (including the in-progress
 // inflation of §IV-A), report to the master, scavenge if needed, pull
-// more work, and make sure the disk is busy.
+// more work, and make sure the disk is busy. The coordinator's beat
+// runs it for awake slaves only; see quiescent.
 func (s *Slave) tick() {
 	if s.stopped || !s.node.Alive() {
 		return
@@ -156,6 +155,25 @@ func (s *Slave) tick() {
 	s.kick()
 }
 
+// quiescent reports whether the slave's next tick would provably be a
+// no-op, so the coordinator's beat may skip it until a wake point. A
+// stopped slave or one on a dead node ticks as a no-op. Otherwise every
+// step of tick must be idle: no estimate series to record, nothing
+// queued or in flight (so no inflation and no kick), nothing the binder
+// could hand over on a pull, a buffer at or below the scavenge
+// threshold, and a master-side estimate that the report would leave
+// unchanged (so estEpoch stays put).
+func (s *Slave) quiescent() bool {
+	if s.stopped || !s.node.Alive() {
+		return true
+	}
+	return s.estSeries == nil &&
+		len(s.queue) == 0 && len(s.active) == 0 &&
+		s.c.binder.PendingCount() == 0 &&
+		float64(s.c.fs.DataNode(s.node.ID).MemUsed()) <= s.c.cfg.ScavengeThreshold*float64(s.memLimit) &&
+		s.c.estimates[s.node.ID] == nodeEstimate{perByte: s.estimator.perByte()}
+}
+
 // pull asks the binder for more work when the local queue has space —
 // the slave querying the master (§III-A1).
 func (s *Slave) pull() {
@@ -177,6 +195,7 @@ func (s *Slave) enqueue(bi *blockInfo) {
 	bi.slave = s.node.ID
 	bi.enqueuedAt = s.c.eng.Now()
 	s.queue = append(s.queue, bi)
+	s.c.wake(s.node.ID)
 	s.c.hQueue.Observe(int64(len(s.queue)))
 	if tr := s.c.tr; tr.Enabled() {
 		bi.span.Annotate(trace.Int("slave", int64(s.node.ID)),
@@ -308,10 +327,4 @@ func (s *Slave) scavenge() {
 		}
 		s.c.maybeRelease(bi)
 	}
-}
-
-// stop halts the slave's heartbeat.
-func (s *Slave) stop() {
-	s.stopped = true
-	s.ticker.Stop()
 }
