@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -186,6 +187,15 @@ type DataNode struct {
 	resident []BlockID
 	memUsed  sim.Bytes
 
+	// migrating lists the in-flight MigrateToMemory transfers, unordered.
+	// Completions are matched by flow handle, not block ID: one node may
+	// run two transfers of the same block (a migration master that lost
+	// its records in a fail-over re-requests blocks still in flight).
+	migrating []migration
+	// completeFn is dn.completeMigration, bound once so starting a
+	// transfer allocates no closure.
+	completeFn func(*sim.Flow)
+
 	// Counters for the evaluation (Fig. 8 counts reads per DataNode).
 	DiskReads     int
 	MemReads      int
@@ -298,7 +308,9 @@ func New(cl *cluster.Cluster, cfg Config) *FS {
 	}
 	fs.hReadLat = fs.tr.Hist("read.latency_ns")
 	for _, n := range cl.Nodes() {
-		fs.dns = append(fs.dns, &DataNode{fs: fs, node: n})
+		dn := &DataNode{fs: fs, node: n}
+		dn.completeFn = dn.completeMigration
+		fs.dns = append(fs.dns, dn)
 	}
 	return fs
 }
@@ -537,19 +549,26 @@ func (fs *FS) FileBlocks(names []string) ([]*Block, error) {
 // FileBlockIDs maps a list of file names to their block IDs, in file
 // order, without materializing Block views.
 func (fs *FS) FileBlockIDs(names []string) ([]BlockID, error) {
+	return fs.AppendFileBlockIDs(nil, names)
+}
+
+// AppendFileBlockIDs is FileBlockIDs appending to dst, so a caller that
+// reuses its buffer maps files to blocks without allocating. On error
+// dst is returned unchanged.
+func (fs *FS) AppendFileBlockIDs(dst []BlockID, names []string) ([]BlockID, error) {
 	total := 0
 	for _, name := range names {
 		f, err := fs.File(name)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s", err, name)
+			return dst, fmt.Errorf("%w: %s", err, name)
 		}
 		total += len(f.Blocks)
 	}
-	out := make([]BlockID, 0, total)
+	dst = slices.Grow(dst, total)
 	for _, name := range names {
-		out = append(out, fs.files[name].Blocks...)
+		dst = append(dst, fs.files[name].Blocks...)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Block materializes a view of the block with the given id.
@@ -1036,17 +1055,25 @@ func (fs *FS) OnRead(fn func(id BlockID, at cluster.NodeID)) error {
 	return nil
 }
 
+// migration is one in-flight MigrateToMemory transfer.
+type migration struct {
+	flow  *sim.Flow
+	block BlockID
+	done  func(*sim.Flow, sim.Duration)
+}
+
 // MigrateToMemory performs the slave-side migration mechanics: read the
 // block from this node's disk (the mmap+mlock path in the paper) and, on
-// completion, register the in-memory replica. The returned flow lets the
-// caller observe progress or cancel. The DataNode must hold a disk
-// replica of the block.
+// completion, register the in-memory replica and call done with the
+// transfer's flow and duration. The returned flow identifies the
+// transfer: done receives it, and CancelMigration takes it. The DataNode
+// must hold a disk replica of the block.
 //
 // weight is the migration stream's IO fair-share weight relative to
 // foreground reads (weight 1). Migration runs at background priority so
 // it consumes residual bandwidth: the full disk when idle, next to
 // nothing when foreground reads saturate it.
-func (dn *DataNode) MigrateToMemory(id BlockID, weight float64, done func(sim.Duration)) (*sim.Flow, error) {
+func (dn *DataNode) MigrateToMemory(id BlockID, weight float64, done func(*sim.Flow, sim.Duration)) (*sim.Flow, error) {
 	fs := dn.fs
 	if !fs.table.holdsReplica(id, dn.node.ID) {
 		return nil, fmt.Errorf("dfs: node %v holds no replica of block %d", dn.node.ID, id)
@@ -1054,19 +1081,57 @@ func (dn *DataNode) MigrateToMemory(id BlockID, weight float64, done func(sim.Du
 	if weight <= 0 {
 		weight = 1
 	}
-	start := fs.eng.Now()
 	dn.DiskReads++
 	res := dn.node.Disk
 	if fs.blockTier(id) == TierSSD {
 		res = dn.node.SSD
 	}
-	f := res.StartWeighted(fs.table.blockSize(id), weight, func(*sim.Flow) {
-		fs.registerMem(id, dn.node.ID)
-		if done != nil {
-			done(fs.eng.Now().Sub(start))
-		}
-	})
+	f := res.StartWeighted(fs.table.blockSize(id), weight, dn.completeFn)
+	dn.migrating = append(dn.migrating, migration{flow: f, block: id, done: done})
 	return f, nil
+}
+
+// CancelMigration aborts the in-flight migration moving flow f, freeing
+// the disk; its done callback never runs. Migration flows must be
+// cancelled here rather than with Flow.Cancel, so the in-flight list
+// holds live transfers only. Cancelling a finished migration is a no-op.
+func (dn *DataNode) CancelMigration(f *sim.Flow) {
+	if i := dn.migrationIndex(f); i >= 0 {
+		dn.dropMigration(i)
+		f.Cancel()
+	}
+}
+
+// completeMigration is the completion callback of every migration flow
+// on this node: publish the in-memory replica, then report to the
+// caller. The flow is recycled only after this returns, so no other
+// in-flight entry can share its handle.
+func (dn *DataNode) completeMigration(f *sim.Flow) {
+	i := dn.migrationIndex(f)
+	m := dn.migrating[i]
+	dn.dropMigration(i)
+	dn.fs.registerMem(m.block, dn.node.ID)
+	if m.done != nil {
+		m.done(f, dn.fs.eng.Now().Sub(f.Started()))
+	}
+}
+
+// migrationIndex finds the in-flight entry for flow f, or -1.
+func (dn *DataNode) migrationIndex(f *sim.Flow) int {
+	for i := range dn.migrating {
+		if dn.migrating[i].flow == f {
+			return i
+		}
+	}
+	return -1
+}
+
+// dropMigration swap-removes in-flight entry i.
+func (dn *DataNode) dropMigration(i int) {
+	last := len(dn.migrating) - 1
+	dn.migrating[i] = dn.migrating[last]
+	dn.migrating[last] = migration{}
+	dn.migrating = dn.migrating[:last]
 }
 
 // WriteBlocks writes `size` bytes of job output originating at node `at`,

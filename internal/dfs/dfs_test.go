@@ -258,10 +258,15 @@ func TestMigrateToMemory(t *testing.T) {
 	b := fs.Block(f.Blocks[0])
 	dn := fs.DataNode(b.Replicas[0])
 	var dur sim.Duration
-	if _, err := dn.MigrateToMemory(b.ID, 1, func(d sim.Duration) { dur = d }); err != nil {
+	var doneFlow *sim.Flow
+	flow, err := dn.MigrateToMemory(b.ID, 1, func(f *sim.Flow, d sim.Duration) { doneFlow, dur = f, d })
+	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
+	if doneFlow != flow {
+		t.Error("completion did not report the transfer's flow")
+	}
 	if !dn.HasMem(b.ID) {
 		t.Fatal("block not in memory after migration")
 	}
@@ -270,6 +275,41 @@ func TestMigrateToMemory(t *testing.T) {
 	}
 	if s := dur.Seconds(); s < 1.9 || s > 2.1 {
 		t.Errorf("migration took %vs, want ~2s", s)
+	}
+}
+
+// TestMigrateSameBlockTwiceRoutesByFlow runs two transfers of one block
+// on one node: cancelling the first must leave the second to complete
+// and report under its own flow handle.
+func TestMigrateSameBlockTwiceRoutesByFlow(t *testing.T) {
+	t.Parallel()
+	eng, _, fs := newTestFS(t, 5, 9)
+	f, _ := fs.CreateFile("in", 256*sim.MB)
+	b := fs.Block(f.Blocks[0])
+	dn := fs.DataNode(b.Replicas[0])
+	var done []*sim.Flow
+	record := func(f *sim.Flow, _ sim.Duration) { done = append(done, f) }
+	first, err := dn.MigrateToMemory(b.ID, 1, record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := dn.MigrateToMemory(b.ID, 1, record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(time.Second)
+	dn.CancelMigration(first)
+	eng.Run()
+	if len(done) != 1 || done[0] != second {
+		t.Fatalf("completions %v, want only the second transfer %p", done, second)
+	}
+	if first.Active() || !dn.HasMem(b.ID) || len(dn.migrating) != 0 {
+		t.Fatalf("after completion: first active %v, resident %v, in flight %d",
+			first.Active(), dn.HasMem(b.ID), len(dn.migrating))
+	}
+	dn.CancelMigration(first) // already cancelled: no-op
+	if errs := fs.Fsck(); len(errs) != 0 {
+		t.Fatal(errs)
 	}
 }
 

@@ -76,17 +76,24 @@ func (fs *FS) Fsck() []error {
 		}
 	}
 
-	// 6: postings index.
+	// 6: postings index. seen[id] == nid+1 marks block id as already
+	// listed on node nid; stamping with the node number means the table
+	// never needs clearing between nodes.
 	postingEntries := 0
+	seen := make([]int32, fs.table.len())
 	for nid, posting := range fs.byNode {
-		seen := make(map[BlockID]bool, len(posting))
+		stamp := int32(nid) + 1
 		for _, id := range posting {
-			if seen[id] {
+			if id < 0 || int(id) >= len(seen) {
+				report("postings index lists block %d on node %d, which holds no replica", id, nid)
+				continue
+			}
+			if seen[id] == stamp {
 				report("postings index lists block %d on node %d twice", id, nid)
 				continue
 			}
-			seen[id] = true
-			if int(id) >= fs.table.len() || !fs.table.holdsReplica(id, cluster.NodeID(nid)) {
+			seen[id] = stamp
+			if !fs.table.holdsReplica(id, cluster.NodeID(nid)) {
 				report("postings index lists block %d on node %d, which holds no replica", id, nid)
 			}
 		}

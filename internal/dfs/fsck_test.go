@@ -155,3 +155,75 @@ func TestFsckBufferWithoutDiskReplica(t *testing.T) {
 	fs.RegisterMem(b.ID, outsider)
 	expectFsck(t, fs, "without holding a disk replica")
 }
+
+// postingOutsider returns a node that holds no disk replica of id.
+func postingOutsider(t *testing.T, fs *FS, id BlockID) cluster.NodeID {
+	t.Helper()
+	for n := 0; n < len(fs.byNode); n++ {
+		if !fs.table.holdsReplica(id, cluster.NodeID(n)) {
+			return cluster.NodeID(n)
+		}
+	}
+	t.Fatal("every node holds a replica; enlarge the rig")
+	return -1
+}
+
+func TestFsckPostingDuplicate(t *testing.T) {
+	t.Parallel()
+	fs, f, _ := fsckRig(t)
+	n := fs.Block(f.Blocks[0]).Replicas[0]
+	fs.byNode[int(n)] = append(fs.byNode[int(n)], f.Blocks[0])
+	expectFsck(t, fs, "twice")
+}
+
+func TestFsckPostingWithoutReplica(t *testing.T) {
+	t.Parallel()
+	fs, f, _ := fsckRig(t)
+	// Move one posting to a node that holds no replica, keeping the
+	// entry count equal to the slot count.
+	id := f.Blocks[1]
+	holder := fs.Block(id).Replicas[0]
+	outsider := postingOutsider(t, fs, id)
+	posting := fs.byNode[int(holder)]
+	for i, p := range posting {
+		if p == id {
+			fs.byNode[int(holder)] = append(posting[:i:i], posting[i+1:]...)
+			break
+		}
+	}
+	fs.byNode[int(outsider)] = append(fs.byNode[int(outsider)], id)
+	errs := fs.Fsck()
+	if len(errs) != 1 {
+		t.Fatalf("want exactly the misplaced posting reported, got %v", errs)
+	}
+	expectFsck(t, fs, "which holds no replica")
+}
+
+func TestFsckPostingOutOfRange(t *testing.T) {
+	t.Parallel()
+	fs, _, _ := fsckRig(t)
+	fs.byNode[0] = append(fs.byNode[0], BlockID(9999), BlockID(9999))
+	errs := fs.Fsck()
+	holdsNone := 0
+	for _, err := range errs {
+		if strings.Contains(err.Error(), "block 9999 on node 0") {
+			holdsNone++
+		}
+	}
+	if holdsNone == 0 {
+		t.Fatalf("out-of-range posting not reported: %v", errs)
+	}
+	expectFsck(t, fs, "postings index has")
+}
+
+func TestFsckPostingCountMismatch(t *testing.T) {
+	t.Parallel()
+	fs, f, _ := fsckRig(t)
+	n := fs.Block(f.Blocks[2]).Replicas[0]
+	fs.byNode[int(n)] = fs.byNode[int(n)][:len(fs.byNode[int(n)])-1]
+	errs := fs.Fsck()
+	if len(errs) != 1 {
+		t.Fatalf("want exactly the count mismatch reported, got %v", errs)
+	}
+	expectFsck(t, fs, "replica slots")
+}

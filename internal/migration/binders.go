@@ -66,6 +66,8 @@ type PolicyBinder struct {
 	// repBuf is the reusable live-replica scratch handed to the policy;
 	// per-pass numeric state lives inside the policy itself.
 	repBuf []cluster.NodeID
+	// pulled is the reusable result buffer OnPull returns.
+	pulled []*blockInfo
 }
 
 // maxSkippedPasses bounds how many consecutive ticker passes the
@@ -150,12 +152,13 @@ func (b *PolicyBinder) OnMigrate(blocks []*blockInfo) {
 // OnPull hands the slave the pending blocks currently targeted at it, in
 // FIFO order, up to the free queue space. Blocks targeted elsewhere stay
 // pending even if this slave has room — leaving a slow node idle beats
-// creating a straggler (§III-A2).
+// creating a straggler (§III-A2). The result is the binder's own buffer,
+// valid until the next OnPull.
 func (b *PolicyBinder) OnPull(n cluster.NodeID, space int) []*blockInfo {
 	if space <= 0 || len(b.pending) == b.dead {
 		return nil
 	}
-	var out []*blockInfo
+	out := b.pulled[:0]
 	q := b.targets[int(n)]
 	i := b.heads[int(n)]
 	for i < len(q) && len(out) < space {
@@ -172,6 +175,7 @@ func (b *PolicyBinder) OnPull(n cluster.NodeID, space int) []*blockInfo {
 	if len(out) > 0 {
 		b.pendGen++
 	}
+	b.pulled = out
 	return out
 }
 

@@ -53,6 +53,9 @@ type Coordinator struct {
 	// system). Untracked blocks hold nil. Indexing replaces the map probe
 	// the per-read and per-request hot paths used to pay.
 	info []*blockInfo
+	// slab is the chunk new block records are carved from (newRecord).
+	// Records never move once carved, so *blockInfo handles stay valid.
+	slab []blockInfo
 	// jobBlocks lists the blocks each job has requested, for Evict. The
 	// lists may retain ids whose reference the job already dropped via
 	// implicit eviction — Evict tolerates stale entries, which is cheaper
@@ -78,6 +81,12 @@ type Coordinator struct {
 
 	migratedHooks []func(dfs.BlockID, cluster.NodeID, sim.Time)
 
+	// Migrate's reusable scratch: the request's block IDs, its freshly
+	// pending records, and the slave kick it schedules, bound once.
+	ids       []dfs.BlockID
+	fresh     []*blockInfo
+	kickAllFn func()
+
 	stats Stats
 }
 
@@ -91,7 +100,8 @@ type Binder interface {
 	// to slaves immediately (Ignem) or keep them pending until pulled.
 	OnMigrate(blocks []*blockInfo)
 	// OnPull is invoked when slave n has free local queue space; it
-	// returns the blocks to bind to n now (at most space blocks).
+	// returns the blocks to bind to n now (at most space blocks). The
+	// slice may be the binder's scratch, valid until the next OnPull.
 	OnPull(n cluster.NodeID, space int) []*blockInfo
 	// Remove discards a pending block (missed read or eviction).
 	Remove(b *blockInfo)
@@ -121,6 +131,7 @@ func NewCoordinator(fs *dfs.FS, cfg Config, binder Binder) *Coordinator {
 	c.hMargin = c.tr.Hist("migration.margin_ns")
 	c.hTransfer = c.tr.Hist("migration.transfer_bytes")
 	c.hQueue = c.tr.Hist("migration.queue_depth")
+	c.kickAllFn = c.kickAll
 	if ab, ok := binder.(attachable); ok {
 		ab.attach(c)
 	}
@@ -249,6 +260,27 @@ func (c *Coordinator) setRecord(id dfs.BlockID, bi *blockInfo) {
 	c.info[int(id)] = bi
 }
 
+// recordChunk is how many block records newRecord carves per slab.
+const recordChunk = 256
+
+// newRecord returns a fresh record for block id, carved from the
+// coordinator's slab so tracking a million blocks costs a few thousand
+// allocations, not a million. Its reference lists start on the record's
+// inline single-job storage.
+func (c *Coordinator) newRecord(id dfs.BlockID) *blockInfo {
+	if len(c.slab) == cap(c.slab) {
+		c.slab = make([]blockInfo, 0, recordChunk)
+	}
+	c.slab = c.slab[:len(c.slab)+1]
+	bi := &c.slab[len(c.slab)-1]
+	bi.id = id
+	bi.size = c.fs.BlockSize(id)
+	bi.refs = bi.refsBuf[:0]
+	bi.implicit = bi.implicitBuf[:0]
+	c.setRecord(id, bi)
+	return bi
+}
+
 // Slave returns the migration slave on the given node.
 func (c *Coordinator) Slave(id cluster.NodeID) *Slave { return c.slaves[int(id)] }
 
@@ -269,17 +301,17 @@ func (c *Coordinator) Estimate(id cluster.NodeID) (perByteSeconds float64, queue
 // blocks to the binder. Binding may happen now (Ignem) or lazily on
 // slave pulls (DYRS/naive).
 func (c *Coordinator) Migrate(job JobID, files []string, implicitEvict bool) error {
-	ids, err := c.fs.FileBlockIDs(files)
+	ids, err := c.fs.AppendFileBlockIDs(c.ids[:0], files)
+	c.ids = ids
 	if err != nil {
 		return fmt.Errorf("migration: %w", err)
 	}
-	var fresh []*blockInfo
+	fresh := c.fresh[:0]
 	for _, id := range ids {
 		bi := c.blockRecord(id)
 		if bi == nil || bi.state == stateNone {
 			if bi == nil {
-				bi = &blockInfo{id: id, size: c.fs.BlockSize(id)}
-				c.setRecord(id, bi)
+				bi = c.newRecord(id)
 			}
 			if node, ok := c.fs.MemReplica(id); ok {
 				// The block is already resident — typically because a
@@ -327,14 +359,18 @@ func (c *Coordinator) Migrate(job JobID, files []string, implicitEvict bool) err
 		c.binder.OnMigrate(fresh)
 		// Kick the slaves so migration can begin within an RPC round-trip
 		// instead of waiting out a heartbeat; slaves pull per policy.
-		c.cl.RPC(func() {
-			for _, s := range c.slaves {
-				s.pull()
-				s.kick()
-			}
-		})
+		c.cl.RPC(c.kickAllFn)
 	}
+	c.fresh = fresh[:0]
 	return nil
+}
+
+// kickAll has every slave pull and start work.
+func (c *Coordinator) kickAll() {
+	for _, s := range c.slaves {
+		s.pull()
+		s.kick()
+	}
 }
 
 // Evict implements Manager: the job's explicit eviction command routed
@@ -521,28 +557,19 @@ func (c *Coordinator) RestartSlaveProcess(id cluster.NodeID) {
 		c.stats.Dropped++
 		c.dropTrace(bi, "slave-restart")
 	}
-	s.queue = nil
-	// Abort active transfers in block-ID order: s.active is a map, and
-	// the span ends emitted here must not depend on iteration order.
-	actives := make([]*blockInfo, 0, len(s.active))
-	for bi := range s.active {
-		actives = append(actives, bi)
-	}
-	sort.Slice(actives, func(i, j int) bool { return actives[i].id < actives[j].id })
-	for _, bi := range actives {
-		am := s.active[bi]
-		if am.flow != nil {
-			am.flow.Cancel()
-		}
-		if c.tr.Enabled() {
-			am.span.End(trace.Str("outcome", "aborted"))
-			c.tr.Inc("migration.aborted")
-		}
+	clear(s.queue)
+	s.queue = s.queue[:0]
+	// Abort active transfers in block-ID order; a detached record and its
+	// successor on the same block keep their start order.
+	sort.SliceStable(s.active, func(i, j int) bool { return s.active[i].id < s.active[j].id })
+	for _, bi := range s.active {
+		s.cancelTransfer(bi)
 		c.transition(bi, stateNone)
 		c.stats.Dropped++
 		c.dropTrace(bi, "slave-restart")
 	}
-	s.active = make(map[*blockInfo]*activeMigration)
+	clear(s.active)
+	s.active = s.active[:0]
 	// Blocks buffered in memory on this node are gone.
 	for _, bi := range c.info {
 		if bi != nil && bi.state == stateInMemory && bi.slave == id {

@@ -53,8 +53,8 @@ func TestSlaveQuiescenceRule(t *testing.T) {
 			return func() { s.queue = nil }
 		}},
 		{"active transfer", func() func() {
-			s.active[&blockInfo{}] = &activeMigration{}
-			return func() { s.active = map[*blockInfo]*activeMigration{} }
+			s.active = []*blockInfo{{}}
+			return func() { s.active = nil }
 		}},
 		{"binder pending", func() func() {
 			b := r.c.binder.(*PolicyBinder)

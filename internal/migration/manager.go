@@ -289,4 +289,17 @@ type blockInfo struct {
 	// Migrate request and closed at pin, drop or abort. Zero (no-op)
 	// when the run is untraced.
 	span trace.SpanRef
+
+	// The block's transfer state while it sits on its slave's active
+	// list: the flow moving it (its completion is routed back by this
+	// handle), the start instant, and the rate-controlled transfer span,
+	// a child of span.
+	flow     *sim.Flow
+	started  sim.Time
+	transfer trace.SpanRef
+
+	// refsBuf and implicitBuf back refs and implicit for records carved
+	// by Coordinator.newRecord, so a block referenced by one job keeps
+	// its reference lists without a heap allocation of their own.
+	refsBuf, implicitBuf [1]JobID
 }

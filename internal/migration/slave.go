@@ -38,13 +38,6 @@ func (e *estimator) blockSeconds(size sim.Bytes) float64 {
 // reset returns the estimator to its seeded state (slave restart).
 func (e *estimator) reset() { e.ewma.Set(e.seed) }
 
-// activeMigration is one in-flight disk-to-memory transfer.
-type activeMigration struct {
-	flow    *sim.Flow
-	started sim.Time
-	span    trace.SpanRef // rate-controlled transfer span, child of the block's migration span
-}
-
 // Slave is the per-DataNode migration agent: it keeps a short local FIFO
 // queue of bound migrations, performs them subject to the policy's
 // concurrency limit (DYRS serializes to limit disk seek thrash, §III-B),
@@ -54,8 +47,13 @@ type Slave struct {
 	c    *Coordinator
 	node *cluster.Node
 
-	queue  []*blockInfo
-	active map[*blockInfo]*activeMigration
+	queue []*blockInfo
+	// active lists the in-flight transfers in start order. Each record
+	// carries its own transfer state (flow, start time, span).
+	active []*blockInfo
+	// finishFn is s.finish, bound once and handed to every transfer, so
+	// starting one allocates no closure.
+	finishFn func(*sim.Flow, sim.Duration)
 
 	estimator *estimator
 	depth     int
@@ -82,7 +80,6 @@ func newSlave(c *Coordinator, node *cluster.Node) *Slave {
 	s := &Slave{
 		c:         c,
 		node:      node,
-		active:    make(map[*blockInfo]*activeMigration),
 		estimator: newEstimator(c.cfg.EWMAAlpha, node.Cfg.DiskBandwidth),
 		depth:     c.cfg.queueDepth(c.fs.Config().BlockSize, node.Cfg.DiskBandwidth),
 		memLimit:  sim.Bytes(c.cfg.MemLimitFraction * float64(node.Cfg.MemCapacity)),
@@ -91,6 +88,7 @@ func newSlave(c *Coordinator, node *cluster.Node) *Slave {
 	if !c.cfg.DisableEstimateSeries {
 		s.estSeries = metrics.NewTimeSeries(node.ID.String())
 	}
+	s.finishFn = s.finish
 	return s
 }
 
@@ -125,12 +123,12 @@ func (s *Slave) tick() {
 	// makes DYRS react quickly when residual bandwidth suddenly drops.
 	// With several concurrent migrations, the longest-running one is the
 	// strongest signal; among equally long ones the lowest block ID wins,
-	// so the choice never depends on map order.
+	// so the choice never depends on the list's order.
 	if !s.c.cfg.DisableInProgressUpdates {
 		var worst *blockInfo
 		var worstElapsed float64
-		for bi, am := range s.active {
-			elapsed := s.c.eng.Now().Sub(am.started).Seconds()
+		for _, bi := range s.active {
+			elapsed := s.c.eng.Now().Sub(bi.started).Seconds()
 			if elapsed <= s.estimator.blockSeconds(bi.size) || elapsed < worstElapsed {
 				continue
 			}
@@ -207,12 +205,29 @@ func (s *Slave) enqueue(bi *blockInfo) {
 
 // dequeue removes a queued block (eviction / missed read).
 func (s *Slave) dequeue(bi *blockInfo) {
-	for i, q := range s.queue {
-		if q == bi {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			return
+	if i := index(s.queue, bi); i >= 0 {
+		s.queue = cut(s.queue, i)
+	}
+}
+
+// index reports the position of bi in list, or -1.
+func index(list []*blockInfo, bi *blockInfo) int {
+	for i, b := range list {
+		if b == bi {
+			return i
 		}
 	}
+	return -1
+}
+
+// cut removes list[i] in place, keeping the order of the rest, and
+// clears the vacated tail slot. The backing array keeps its capacity, so
+// a list that is popped and refilled never reallocates.
+func cut(list []*blockInfo, i int) []*blockInfo {
+	last := len(list) - 1
+	copy(list[i:], list[i+1:])
+	list[last] = nil
+	return list[:last]
 }
 
 // kick starts queued migrations while the concurrency limit allows.
@@ -230,51 +245,55 @@ func (s *Slave) kick() {
 			s.BlockedOnMemory++
 			return
 		}
-		s.queue = s.queue[1:]
+		s.queue = cut(s.queue, 0)
 		s.c.transition(next, stateMigrating)
-		am := &activeMigration{started: s.c.eng.Now()}
-		s.active[next] = am
+		next.started = s.c.eng.Now()
 		if tr := s.c.tr; tr.Enabled() {
-			am.span = next.span.Child("migration", "transfer", int(s.node.ID),
+			next.transfer = next.span.Child("migration", "transfer", int(s.node.ID),
 				trace.Int("block", int64(next.id)),
 				trace.Int("size", int64(next.size)),
 				trace.Float("io-weight", s.c.cfg.IOWeight))
 		}
-		flow, err := dn.MigrateToMemory(next.id, s.c.cfg.IOWeight, func(d sim.Duration) {
-			s.finish(next, d)
-		})
+		flow, err := dn.MigrateToMemory(next.id, s.c.cfg.IOWeight, s.finishFn)
 		if err != nil {
 			// Bound to a node that no longer holds a replica (should not
 			// happen with a correct binder); drop the migration.
-			delete(s.active, next)
 			s.c.transition(next, stateNone)
 			s.c.stats.Dropped++
 			if tr := s.c.tr; tr.Enabled() {
-				am.span.End(trace.Str("outcome", "failed"))
+				next.transfer.End(trace.Str("outcome", "failed"))
 			}
 			s.c.dropTrace(next, "no-replica")
 			continue
 		}
-		am.flow = flow
+		next.flow = flow
+		s.active = append(s.active, next)
 	}
 }
 
-// finish completes an active migration: update the estimator with the
-// true duration, publish the in-memory replica, and continue.
-func (s *Slave) finish(bi *blockInfo, d sim.Duration) {
+// finish completes the active migration moving flow f: update the
+// estimator with the true duration, publish the in-memory replica, and
+// continue. It matches the record by flow, not block ID: after a master
+// fail-over a detached record and its successor may both be migrating
+// the same block here.
+func (s *Slave) finish(f *sim.Flow, d sim.Duration) {
+	i := 0
+	for s.active[i].flow != f {
+		i++
+	}
+	bi := s.active[i]
+	s.active = cut(s.active, i)
+	bi.flow = nil
 	s.estimator.observe(d.Seconds(), bi.size)
 	s.Migrations++
 	s.BytesMigrated += bi.size
 	s.c.hTransfer.Observe(int64(bi.size))
 	if tr := s.c.tr; tr.Enabled() {
-		if am := s.active[bi]; am != nil {
-			am.span.End(trace.Str("outcome", "completed"))
-		}
+		bi.transfer.End(trace.Str("outcome", "completed"))
 		bi.span.End(trace.Str("outcome", "pinned"), trace.Int("slave", int64(s.node.ID)))
 		tr.Inc("migration.completed")
 		tr.Add("migration.bytes", bi.size)
 	}
-	delete(s.active, bi)
 	s.c.onMigrated(bi, s.node.ID)
 	s.kick()
 }
@@ -282,19 +301,25 @@ func (s *Slave) finish(bi *blockInfo, d sim.Duration) {
 // abortActive cancels the in-flight migration of bi, freeing the disk
 // for foreground reads, and moves on to the next queued block.
 func (s *Slave) abortActive(bi *blockInfo) {
-	am, ok := s.active[bi]
-	if !ok {
+	i := index(s.active, bi)
+	if i < 0 {
 		return
 	}
-	if am.flow != nil {
-		am.flow.Cancel()
-	}
+	s.active = cut(s.active, i)
+	s.cancelTransfer(bi)
+	s.kick()
+}
+
+// cancelTransfer cancels bi's in-flight transfer through the DataNode
+// and closes its transfer span. The caller has already taken bi off the
+// active list.
+func (s *Slave) cancelTransfer(bi *blockInfo) {
+	s.c.fs.DataNode(s.node.ID).CancelMigration(bi.flow)
+	bi.flow = nil
 	if tr := s.c.tr; tr.Enabled() {
-		am.span.End(trace.Str("outcome", "aborted"))
+		bi.transfer.End(trace.Str("outcome", "aborted"))
 		tr.Inc("migration.aborted")
 	}
-	delete(s.active, bi)
-	s.kick()
 }
 
 // scavenge clears reference-list entries for jobs the cluster scheduler
