@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -187,6 +189,32 @@ func TestTelemetryCSV(t *testing.T) {
 		if !found {
 			t.Errorf("no %q series in CSV", prefix)
 		}
+	}
+}
+
+// TestTelemetryBytesGolden pins the exact -telemetry chart text and
+// -telemetry-csv bytes of one small sort run with interference on node0,
+// so any change to how the sampler is driven or what it records shows.
+func TestTelemetryBytesGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "telemetry.csv")
+	out := runOK(t, sortArgs("-interfere", "0", "-telemetry", "-telemetry-csv", path))
+	i := strings.Index(out, "\nper-node disk utilization")
+	if i < 0 {
+		t.Fatalf("output missing the telemetry chart:\n%s", out)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := func(b []byte) string {
+		h := sha256.Sum256(b)
+		return hex.EncodeToString(h[:])
+	}
+	if got, want := sum([]byte(out[i:])), "0c6d91fbab4187f220687ea4ae136a540b69ba54be846985775622500234cc95"; got != want {
+		t.Errorf("telemetry chart sha256 = %s, want %s:\n%s", got, want, out[i:])
+	}
+	if got, want := sum(raw), "4dc35512e4e806c904c1795727e001aba4e4cee194997f6697dce75693f0388e"; got != want {
+		t.Errorf("telemetry CSV sha256 = %s, want %s (%d bytes)", got, want, len(raw))
 	}
 }
 
