@@ -288,7 +288,7 @@ func estimateReactionLag(b *testing.B, disableUpdates bool) float64 {
 	})
 	eng.RunUntil(sim.Time(3 * time.Minute))
 	baseline := 256 * float64(sim.MB) / node0.Cfg.DiskBandwidth
-	for _, p := range c.EstimateSeries(0).Points() {
+	for _, p := range c.EstimateSeries(0) {
 		if p.T > onset && p.V > 3*baseline {
 			return p.T - onset
 		}

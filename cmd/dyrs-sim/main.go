@@ -27,7 +27,6 @@ import (
 	"dyrs/internal/experiments"
 	"dyrs/internal/obs"
 	"dyrs/internal/sim"
-	"dyrs/internal/telemetry"
 	"dyrs/internal/trace"
 	"dyrs/internal/workload"
 )
@@ -103,20 +102,36 @@ func run(args []string, stdout, stderr io.Writer) error {
 	env := dyrs.NewEnv(policy, opt)
 	defer env.Close()
 
+	var srv *obs.Server
 	if *metricsAddr != "" {
-		srv, err := obs.StartServer(*metricsAddr)
-		if err != nil {
+		if srv, err = obs.StartServer(*metricsAddr); err != nil {
 			return fmt.Errorf("starting metrics endpoint: %w", err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(stdout, "metrics     : http://%s/metrics (progress at /progress)\n", srv.Addr())
-		stopTick := startMetricsTicker(env, srv)
-		defer stopTick()
 	}
-
-	var col *telemetry.Collector
+	var smp *sampler
 	if *showTelemetry || *telemetryCSV != "" {
-		col = telemetry.Start(env.Cl, env.FS, time.Second)
+		smp = newSampler(env.Cl, env.FS)
+	}
+	if srv != nil || smp != nil {
+		// One virtual-time ticker, once per simulated second, publishes
+		// live snapshots and takes telemetry samples. Both only read
+		// simulation state, so neither changes a run's results.
+		tick := sim.NewTicker(env.Eng, sim.Duration(time.Second), func() {
+			if srv != nil {
+				publish(env, srv)
+			}
+			if smp != nil {
+				smp.sample()
+			}
+		})
+		defer func() {
+			tick.Stop()
+			if srv != nil {
+				publish(env, srv)
+			}
+		}()
 	}
 
 	// The workload proper.
@@ -130,18 +145,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return runErr
 	}
 
-	if col != nil {
-		col.Stop()
-		if *showTelemetry {
-			fmt.Fprintln(stdout, "\nper-node disk utilization (one column per second, 0-9 scale):")
-			if err := col.RenderDisk(stdout, 100); err != nil {
-				return err
-			}
+	if *showTelemetry {
+		fmt.Fprintln(stdout, "\nper-node disk utilization (one column per second, 0-9 scale):")
+		if err := smp.renderDisk(stdout, 100); err != nil {
+			return err
 		}
-		if *telemetryCSV != "" {
-			if err := writeFile(*telemetryCSV, col.WriteCSV); err != nil {
-				return fmt.Errorf("writing telemetry CSV: %w", err)
-			}
+	}
+	if *telemetryCSV != "" {
+		if err := writeFile(*telemetryCSV, smp.writeCSV); err != nil {
+			return fmt.Errorf("writing telemetry CSV: %w", err)
 		}
 	}
 
@@ -162,32 +174,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return writeManifest(manifest, *manifestPath, env.Eng.Now())
 }
 
-// startMetricsTicker schedules a self-rechaining virtual-time event that
-// renders fresh OpenMetrics and progress snapshots for the live endpoint
-// once per simulated second. The handler only reads simulation state and
-// swaps immutable byte slices into the server, so enabling the endpoint
-// never changes a run's results. The returned stop function publishes a
-// final snapshot and unchains the ticker.
-func startMetricsTicker(env *dyrs.Env, srv *obs.Server) (stop func()) {
-	publish := func() {
-		tr := env.Tracer()
-		var metrics bytes.Buffer
-		if err := tr.WriteOpenMetrics(&metrics); err == nil {
-			progress := fmt.Sprintf("{\"virtual_ns\":%d,\"spans\":%d,\"instants\":%d}\n",
-				int64(env.Eng.Now()), len(tr.Spans()), len(tr.Instants()))
-			srv.Publish(metrics.Bytes(), []byte(progress))
-		}
-	}
-	var ev *sim.Event
-	var tick func()
-	tick = func() {
-		publish()
-		ev = env.Eng.Schedule(sim.Duration(time.Second), tick)
-	}
-	ev = env.Eng.Schedule(sim.Duration(time.Second), tick)
-	return func() {
-		env.Eng.Cancel(ev)
-		publish()
+// publish renders fresh OpenMetrics and progress snapshots for the live
+// endpoint. It only reads simulation state and swaps immutable byte
+// slices into the server.
+func publish(env *dyrs.Env, srv *obs.Server) {
+	tr := env.Tracer()
+	var metrics bytes.Buffer
+	if err := tr.WriteOpenMetrics(&metrics); err == nil {
+		progress := fmt.Sprintf("{\"virtual_ns\":%d,\"spans\":%d,\"instants\":%d}\n",
+			int64(env.Eng.Now()), len(tr.Spans()), len(tr.Instants()))
+		srv.Publish(metrics.Bytes(), []byte(progress))
 	}
 }
 

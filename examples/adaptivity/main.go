@@ -38,7 +38,7 @@ func main() {
 	fmt.Println("node3 undisturbed); one column per heartbeat, height = estimate in seconds:")
 	fmt.Println()
 	for _, node := range []cluster.NodeID{1, 3} {
-		points := env.Coord.EstimateSeries(node).Points()
+		points := env.Coord.EstimateSeries(node)
 		var peak float64
 		for _, p := range points {
 			if p.V > peak {

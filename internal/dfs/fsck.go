@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"fmt"
+	"sort"
 
 	"dyrs/internal/cluster"
 	"dyrs/internal/sim"
@@ -35,9 +36,16 @@ func (fs *FS) Fsck() []error {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
 
-	// 1-2: catalog structure.
+	// 1-2: catalog structure, in file-name order so two identical
+	// corrupt file systems report identical lists.
+	names := make([]string, 0, len(fs.files))
+	for name := range fs.files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	filledSlots := 0
-	for name, f := range fs.files {
+	for _, name := range names {
+		f := fs.files[name]
 		var total sim.Bytes
 		for i, id := range f.Blocks {
 			if int(id) >= fs.table.len() {

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -70,6 +71,26 @@ func TestFsckFileSizeMismatch(t *testing.T) {
 	fs, f, _ := fsckRig(t)
 	f.Size += 123
 	expectFsck(t, fs, "block sizes sum to")
+}
+
+// TestFsckReportOrderIsDeterministic corrupts several files and requires
+// every Fsck call to list the violations in the same order.
+func TestFsckReportOrderIsDeterministic(t *testing.T) {
+	t.Parallel()
+	fs, _, _ := fsckRig(t)
+	for i := 0; i < 8; i++ {
+		f, err := fs.CreateFile(fmt.Sprintf("f%d", i), 256*sim.MB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Size++
+	}
+	want := fmt.Sprint(fs.Fsck())
+	for i := 0; i < 20; i++ {
+		if got := fmt.Sprint(fs.Fsck()); got != want {
+			t.Fatalf("Fsck call %d listed violations differently:\n got %s\nwant %s", i+2, got, want)
+		}
+	}
 }
 
 func TestFsckReplicaCountAndDuplicates(t *testing.T) {

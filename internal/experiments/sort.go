@@ -171,8 +171,8 @@ func RunTableII(seed int64) (TableIIReport, error) {
 			Figure:  pat.Figure,
 			Runtime: j.Duration().Seconds(),
 		}
-		row.EstimateNode1 = env.Coord.EstimateSeries(1).Downsample(40)
-		row.EstimateNode2 = env.Coord.EstimateSeries(2).Downsample(40)
+		row.EstimateNode1 = metrics.Downsample(env.Coord.EstimateSeries(1), 40)
+		row.EstimateNode2 = metrics.Downsample(env.Coord.EstimateSeries(2), 40)
 		rep.Rows = append(rep.Rows, row)
 		stop()
 		env.Close()

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"dyrs/internal/gtrace"
+	"dyrs/internal/metrics"
 )
 
 // TraceReport carries the Google-trace motivation analyses (Figs. 1-3).
@@ -60,9 +61,8 @@ func (r TraceReport) Fig1() string {
 	var b strings.Builder
 	b.WriteString("Fig 1 — Disk utilization over 24h for three servers (5-min samples, downsampled)\n")
 	for i, s := range picks {
-		ts := r.Trace.UtilizationSeries(s)
 		fmt.Fprintf(&b, "node%d (mean %.1f%%):", i+1, means[s]*100)
-		for _, p := range ts.Downsample(24) {
+		for _, p := range metrics.Downsample(r.Trace.UtilizationSeries(s), 24) {
 			fmt.Fprintf(&b, " %4.1f", p.V*100)
 		}
 		b.WriteString("  (%)\n")

@@ -218,15 +218,14 @@ func synthesizeJobs(rng *rand.Rand, cfg Config) []Job {
 	return jobs
 }
 
-// UtilizationSeries returns server s's utilization as a time series in
-// hours (the Fig. 1 data for one node).
-func (t *Trace) UtilizationSeries(s int) *metrics.TimeSeries {
-	ts := metrics.NewTimeSeries("server")
+// UtilizationSeries returns server s's utilization as a time series
+// whose T is in hours (the Fig. 1 data for one node).
+func (t *Trace) UtilizationSeries(s int) []metrics.TimePoint {
+	pts := make([]metrics.TimePoint, len(t.Util[s]))
 	for b, u := range t.Util[s] {
-		hour := float64(b) * t.Cfg.BinWidth.Hours()
-		ts.Record(hour, u)
+		pts[b] = metrics.TimePoint{T: float64(b) * t.Cfg.BinWidth.Hours(), V: u}
 	}
-	return ts
+	return pts
 }
 
 // MeanUtilization reports the mean over all servers and bins.

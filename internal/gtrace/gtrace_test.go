@@ -91,10 +91,10 @@ func TestLeadTimeCalibration(t *testing.T) {
 func TestUtilizationSeries(t *testing.T) {
 	tr := defaultTrace(t)
 	ts := tr.UtilizationSeries(0)
-	if ts.Len() != len(tr.Util[0]) {
-		t.Fatalf("series len = %d", ts.Len())
+	if len(ts) != len(tr.Util[0]) {
+		t.Fatalf("series len = %d", len(ts))
 	}
-	last := ts.Last()
+	last := ts[len(ts)-1]
 	if last.T <= 23 || last.T >= 24 {
 		t.Errorf("last sample at %vh, want just under 24h", last.T)
 	}

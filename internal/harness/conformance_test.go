@@ -157,8 +157,20 @@ func writeGolden() error {
 	return os.WriteFile(goldenPath, append(raw, '\n'), 0o644)
 }
 
-// checkGolden runs one scenario under the given -policy name ("" is the
-// default) and compares its digest to the committed entry.
+// goldenRun memoises one scenario's digest. Scenario.Policy only
+// changes what TestedPolicy resolves, and checkGolden requires every
+// name it is given to resolve to experiments.DYRS, so the suites that
+// select DYRS by name and by default share one run per scenario.
+type goldenRun struct {
+	once sync.Once
+	got  goldenEntry
+}
+
+var goldenRuns sync.Map // goldenKey -> *goldenRun
+
+// checkGolden resolves the given -policy name ("" is the default), which
+// must name DYRS, and compares the scenario's digest to the committed
+// entry.
 func checkGolden(t *testing.T, serving bool, seed int64, binder string) {
 	t.Helper()
 	want, ok := loadGolden(t)[goldenKey{serving, seed}]
@@ -167,8 +179,13 @@ func checkGolden(t *testing.T, serving bool, seed int64, binder string) {
 	}
 	sc := conformanceScenario(serving, seed)
 	sc.Policy = binder
-	got := digest(sc, RunScenario(sc, sc.TestedPolicy()))
-	diffDigest(t, got, want)
+	if p := sc.TestedPolicy(); p != experiments.DYRS {
+		t.Fatalf("-policy %q resolves to %s; the golden digest is DYRS's", binder, p)
+	}
+	v, _ := goldenRuns.LoadOrStore(goldenKey{serving, seed}, new(goldenRun))
+	run := v.(*goldenRun)
+	run.once.Do(func() { run.got = digest(sc, RunScenario(sc, experiments.DYRS)) })
+	diffDigest(t, run.got, want)
 }
 
 // runGoldenSuite checks seeds 1..n of one envelope against the digest.
@@ -189,7 +206,18 @@ func runGoldenSuite(t *testing.T, serving bool, n int, binder string) {
 // scenario selects DYRS — by name through experiments.ParsePolicy (the
 // dyrs-fuzz -policy dyrs path) and by default (no -policy) — and keep
 // the names the live differential suites had, so their test IDs stay
-// stable.
+// stable. Both ways resolve to the same configuration, so each scenario
+// runs once (goldenRun) and the second suite re-checks its digest.
+
+// TestConformancePolicyNames pins the resolution the shared runs rest
+// on: the default and every spelling of the name select DYRS.
+func TestConformancePolicyNames(t *testing.T) {
+	for _, name := range []string{"", "dyrs", "DYRS"} {
+		if p := (Scenario{Policy: name}).TestedPolicy(); p != experiments.DYRS {
+			t.Errorf("-policy %q resolves to %s, want %s", name, p, experiments.DYRS)
+		}
+	}
+}
 
 // TestDYRSPolicyConformance pins DYRS selected by name through
 // ParsePolicy to the golden digest over the Generate envelope.

@@ -1,9 +1,8 @@
 // Package metrics provides the small statistical toolkit the DYRS
 // reproduction uses everywhere: exponentially weighted moving averages
 // (the paper's migration-time estimator), sample collections with
-// percentile/CDF extraction, fixed-bin histograms, and time-series
-// recorders for plotting estimate trajectories (Fig. 9) and memory
-// usage (Fig. 7).
+// percentile extraction, and (time, value) series, such as a slave's
+// estimate trajectory (Fig. 9), with downsampling for compact tables.
 package metrics
 
 import (
@@ -56,7 +55,7 @@ func (e *EWMA) Set(v float64) {
 }
 
 // Sample is an accumulating collection of float64 observations supporting
-// summary statistics, percentiles and CDF extraction.
+// summary statistics and percentiles.
 type Sample struct {
 	xs     []float64
 	sorted bool
@@ -73,18 +72,8 @@ func (s *Sample) Add(v float64) {
 	s.sum += v
 }
 
-// AddAll appends many observations.
-func (s *Sample) AddAll(vs []float64) {
-	for _, v := range vs {
-		s.Add(v)
-	}
-}
-
 // Len reports the number of observations.
 func (s *Sample) Len() int { return len(s.xs) }
-
-// Sum reports the sum of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
 
 // Mean reports the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
@@ -110,21 +99,6 @@ func (s *Sample) Max() float64 {
 	}
 	s.ensureSorted()
 	return s.xs[len(s.xs)-1]
-}
-
-// Stddev reports the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
 }
 
 func (s *Sample) ensureSorted() {
@@ -158,9 +132,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
 }
 
-// Median reports the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
 // FractionBelow reports the fraction of observations <= v (the empirical
 // CDF evaluated at v).
 func (s *Sample) FractionBelow(v float64) float64 {
@@ -173,125 +144,31 @@ func (s *Sample) FractionBelow(v float64) float64 {
 	return float64(idx) / float64(n)
 }
 
-// CDFPoint is one point of an empirical CDF: fraction F of observations
-// are <= X.
-type CDFPoint struct {
-	X float64
-	F float64
-}
-
-// CDF extracts the empirical CDF sampled at n evenly spaced quantiles.
-func (s *Sample) CDF(n int) []CDFPoint {
-	if s.Len() == 0 || n <= 0 {
-		return nil
-	}
-	pts := make([]CDFPoint, n)
-	for i := 0; i < n; i++ {
-		f := float64(i+1) / float64(n)
-		pts[i] = CDFPoint{X: s.Percentile(f * 100), F: f}
-	}
-	return pts
-}
-
-// Values returns a copy of all observations (sorted).
-func (s *Sample) Values() []float64 {
-	s.ensureSorted()
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
-}
-
-// TimePoint is one (time, value) sample of a time series. T is in seconds
-// of virtual time.
+// TimePoint is one (time, value) sample. A time series is a plain
+// []TimePoint in time order; T is in seconds of virtual time unless its
+// producer says otherwise.
 type TimePoint struct {
 	T float64
 	V float64
 }
 
-// TimeSeries records (time, value) samples, e.g. a slave's migration-time
-// estimate over a run (Fig. 9) or per-node buffered bytes (Fig. 7).
-type TimeSeries struct {
-	name string
-	pts  []TimePoint
-}
-
-// NewTimeSeries returns an empty named series.
-func NewTimeSeries(name string) *TimeSeries { return &TimeSeries{name: name} }
-
-// Name reports the series label.
-func (ts *TimeSeries) Name() string { return ts.name }
-
-// Record appends a sample. Samples should be appended in time order.
-func (ts *TimeSeries) Record(t, v float64) {
-	ts.pts = append(ts.pts, TimePoint{T: t, V: v})
-}
-
-// Points returns the recorded samples (not a copy; callers must not
-// mutate).
-func (ts *TimeSeries) Points() []TimePoint { return ts.pts }
-
-// Len reports the number of samples.
-func (ts *TimeSeries) Len() int { return len(ts.pts) }
-
-// Last reports the final sample, or a zero TimePoint when empty.
-func (ts *TimeSeries) Last() TimePoint {
-	if len(ts.pts) == 0 {
-		return TimePoint{}
-	}
-	return ts.pts[len(ts.pts)-1]
-}
-
-// MeanValue reports the time-weighted mean of the series, treating each
-// sample as holding until the next. Returns the plain mean if fewer than
-// two samples exist.
-func (ts *TimeSeries) MeanValue() float64 {
-	n := len(ts.pts)
-	switch n {
-	case 0:
-		return 0
-	case 1:
-		return ts.pts[0].V
-	}
-	var area, span float64
-	for i := 0; i+1 < n; i++ {
-		dt := ts.pts[i+1].T - ts.pts[i].T
-		area += ts.pts[i].V * dt
-		span += dt
-	}
-	if span == 0 {
-		return ts.pts[0].V
-	}
-	return area / span
-}
-
-// MaxValue reports the largest sample value.
-func (ts *TimeSeries) MaxValue() float64 {
-	max := math.Inf(-1)
-	for _, p := range ts.pts {
-		if p.V > max {
-			max = p.V
-		}
-	}
-	if math.IsInf(max, -1) {
-		return 0
-	}
-	return max
-}
-
-// Downsample returns at most n points evenly spaced through the series,
-// always including the final point; handy for rendering long series as
-// compact tables.
-func (ts *TimeSeries) Downsample(n int) []TimePoint {
-	if n <= 0 || len(ts.pts) == 0 {
+// Downsample returns at most n points evenly spaced through pts, always
+// including the final point; handy for rendering long series as compact
+// tables. A series no longer than n comes back as is.
+func Downsample(pts []TimePoint, n int) []TimePoint {
+	if n <= 0 || len(pts) == 0 {
 		return nil
 	}
-	if len(ts.pts) <= n {
-		return ts.pts
+	if len(pts) <= n {
+		return pts
+	}
+	if n == 1 {
+		return pts[len(pts)-1:]
 	}
 	out := make([]TimePoint, 0, n)
-	step := float64(len(ts.pts)-1) / float64(n-1)
+	step := float64(len(pts)-1) / float64(n-1)
 	for i := 0; i < n; i++ {
-		out = append(out, ts.pts[int(math.Round(float64(i)*step))])
+		out = append(out, pts[int(math.Round(float64(i)*step))])
 	}
 	return out
 }

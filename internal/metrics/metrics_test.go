@@ -78,19 +78,17 @@ func TestPropertyEWMABounded(t *testing.T) {
 
 func TestSampleStats(t *testing.T) {
 	s := NewSample()
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Median() != 0 {
+	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
 		t.Error("empty sample stats not zero")
 	}
-	s.AddAll([]float64{4, 1, 3, 2, 5})
-	if s.Len() != 5 || s.Sum() != 15 || s.Mean() != 3 {
-		t.Errorf("len/sum/mean = %d/%v/%v", s.Len(), s.Sum(), s.Mean())
+	for _, v := range []float64{4, 1, 3, 2, 5} {
+		s.Add(v)
 	}
-	if s.Min() != 1 || s.Max() != 5 || s.Median() != 3 {
-		t.Errorf("min/max/median = %v/%v/%v", s.Min(), s.Max(), s.Median())
+	if s.Len() != 5 || s.Mean() != 3 {
+		t.Errorf("len/mean = %d/%v", s.Len(), s.Mean())
 	}
-	want := math.Sqrt(2)
-	if math.Abs(s.Stddev()-want) > 1e-12 {
-		t.Errorf("stddev = %v, want %v", s.Stddev(), want)
+	if s.Min() != 1 || s.Max() != 5 || s.Percentile(50) != 3 {
+		t.Errorf("min/max/median = %v/%v/%v", s.Min(), s.Max(), s.Percentile(50))
 	}
 }
 
@@ -115,7 +113,9 @@ func TestSamplePercentiles(t *testing.T) {
 
 func TestFractionBelow(t *testing.T) {
 	s := NewSample()
-	s.AddAll([]float64{1, 2, 3, 4})
+	for _, v := range []float64{1, 2, 3, 4} {
+		s.Add(v)
+	}
 	cases := []struct{ v, want float64 }{
 		{0, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {10, 1},
 	}
@@ -126,79 +126,26 @@ func TestFractionBelow(t *testing.T) {
 	}
 }
 
-func TestCDFMonotone(t *testing.T) {
-	s := NewSample()
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		s.Add(rng.ExpFloat64() * 10)
-	}
-	pts := s.CDF(20)
-	if len(pts) != 20 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X < pts[i-1].X || pts[i].F <= pts[i-1].F {
-			t.Fatalf("CDF not monotone at %d: %+v %+v", i, pts[i-1], pts[i])
-		}
-	}
-	if pts[len(pts)-1].F != 1 {
-		t.Errorf("last F = %v, want 1", pts[len(pts)-1].F)
-	}
-}
-
-func TestSampleValuesCopy(t *testing.T) {
-	s := NewSample()
-	s.AddAll([]float64{3, 1, 2})
-	v := s.Values()
-	if v[0] != 1 || v[2] != 3 {
-		t.Errorf("values not sorted: %v", v)
-	}
-	v[0] = 99
-	if s.Min() == 99 {
-		t.Error("Values did not copy")
-	}
-}
-
-func TestTimeSeries(t *testing.T) {
-	ts := NewTimeSeries("est")
-	if ts.Name() != "est" || ts.Len() != 0 || ts.MaxValue() != 0 {
-		t.Error("fresh series wrong")
-	}
-	if (ts.Last() != TimePoint{}) {
-		t.Error("empty Last not zero")
-	}
-	ts.Record(0, 10)
-	ts.Record(1, 20)
-	ts.Record(3, 30)
-	if ts.Last().V != 30 || ts.Len() != 3 {
-		t.Errorf("last/len = %v/%d", ts.Last(), ts.Len())
-	}
-	// Time-weighted mean: 10*1 + 20*2 over span 3 = 50/3.
-	if m := ts.MeanValue(); math.Abs(m-50.0/3) > 1e-12 {
-		t.Errorf("MeanValue = %v", m)
-	}
-	if ts.MaxValue() != 30 {
-		t.Errorf("MaxValue = %v", ts.MaxValue())
-	}
-}
-
-func TestTimeSeriesDownsample(t *testing.T) {
-	ts := NewTimeSeries("x")
+func TestDownsample(t *testing.T) {
+	var pts []TimePoint
 	for i := 0; i < 100; i++ {
-		ts.Record(float64(i), float64(i))
+		pts = append(pts, TimePoint{T: float64(i), V: float64(i)})
 	}
-	d := ts.Downsample(10)
+	d := Downsample(pts, 10)
 	if len(d) != 10 {
 		t.Fatalf("downsample len = %d", len(d))
 	}
 	if d[0].T != 0 || d[9].T != 99 {
 		t.Errorf("endpoints = %v, %v", d[0], d[9])
 	}
-	if got := ts.Downsample(1000); len(got) != 100 {
+	if got := Downsample(pts, 1000); len(got) != 100 {
 		t.Errorf("downsample beyond length should return all: %d", len(got))
 	}
-	if ts.Downsample(0) != nil {
+	if Downsample(pts, 0) != nil {
 		t.Error("downsample(0) should be nil")
+	}
+	if got := Downsample(pts, 1); len(got) != 1 || got[0] != pts[99] {
+		t.Errorf("downsample(1) = %v, want only the final point %v", got, pts[99])
 	}
 }
 

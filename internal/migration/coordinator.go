@@ -623,9 +623,9 @@ func (c *Coordinator) QueuedBlocks() int {
 
 // EstimateSeries returns the recorded migration-time-estimate time series
 // for a slave (seconds to migrate one standard block, sampled each
-// heartbeat) — the data behind Fig. 9. Nil when recording is disabled
+// heartbeat) — the data behind Fig. 9. Empty when recording is disabled
 // via Config.DisableEstimateSeries.
-func (c *Coordinator) EstimateSeries(id cluster.NodeID) *metrics.TimeSeries {
+func (c *Coordinator) EstimateSeries(id cluster.NodeID) []metrics.TimePoint {
 	return c.slaves[int(id)].estSeries
 }
 

@@ -3,8 +3,6 @@ package migration
 import (
 	"testing"
 	"time"
-
-	"dyrs/internal/metrics"
 )
 
 // asleep counts the slaves outside the coordinator's awake set.
@@ -45,8 +43,8 @@ func TestSlaveQuiescenceRule(t *testing.T) {
 		do   func() (undo func())
 	}{
 		{"estimate series", func() func() {
-			s.estSeries = metrics.NewTimeSeries("probe")
-			return func() { s.estSeries = nil }
+			r.c.cfg.DisableEstimateSeries = false
+			return func() { r.c.cfg.DisableEstimateSeries = true }
 		}},
 		{"queued block", func() func() {
 			s.queue = []*blockInfo{{}}

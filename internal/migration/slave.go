@@ -61,7 +61,7 @@ type Slave struct {
 	maxActive int
 
 	stopped   bool
-	estSeries *metrics.TimeSeries
+	estSeries []metrics.TimePoint
 
 	// Migrations counts completed migrations on this slave.
 	Migrations int
@@ -84,9 +84,6 @@ func newSlave(c *Coordinator, node *cluster.Node) *Slave {
 		depth:     c.cfg.queueDepth(c.fs.Config().BlockSize, node.Cfg.DiskBandwidth),
 		memLimit:  sim.Bytes(c.cfg.MemLimitFraction * float64(node.Cfg.MemCapacity)),
 		maxActive: maxActive,
-	}
-	if !c.cfg.DisableEstimateSeries {
-		s.estSeries = metrics.NewTimeSeries(node.ID.String())
 	}
 	s.finishFn = s.finish
 	return s
@@ -141,8 +138,11 @@ func (s *Slave) tick() {
 		}
 	}
 	s.c.onHeartbeat(s.node.ID, s.estimator.perByte(), s.occupancy())
-	if s.estSeries != nil {
-		s.estSeries.Record(s.c.eng.Now().Seconds(), s.estimator.blockSeconds(s.c.fs.Config().BlockSize))
+	if !s.c.cfg.DisableEstimateSeries {
+		s.estSeries = append(s.estSeries, metrics.TimePoint{
+			T: s.c.eng.Now().Seconds(),
+			V: s.estimator.blockSeconds(s.c.fs.Config().BlockSize),
+		})
 	}
 
 	if used := s.c.fs.DataNode(s.node.ID).MemUsed(); float64(used) > s.c.cfg.ScavengeThreshold*float64(s.memLimit) {
@@ -165,7 +165,7 @@ func (s *Slave) quiescent() bool {
 	if s.stopped || !s.node.Alive() {
 		return true
 	}
-	return s.estSeries == nil &&
+	return s.c.cfg.DisableEstimateSeries &&
 		len(s.queue) == 0 && len(s.active) == 0 &&
 		s.c.binder.PendingCount() == 0 &&
 		float64(s.c.fs.DataNode(s.node.ID).MemUsed()) <= s.c.cfg.ScavengeThreshold*float64(s.memLimit) &&
